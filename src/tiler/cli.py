@@ -10,24 +10,32 @@ import itertools
 import json
 import sys
 
+from . import pipeline
 from .components import forced_components
-from .equilibrium import build_equilibrium, verify_equilibrium
-from .errors import TilerError, Untileable
+from .equilibrium import verify_equilibrium
+from .errors import ParseError, TilerError, Untileable
 from .flips import flip_distance, flip_path, local_flip_connected, local_flip_count
 from .generation import count_tilings, enumerate_tilings, sample_uniform
-from .grid import build_graph, parse_figure
 from .lattice import max_tiling, min_tiling, minimal_height
 from .oracle import brute_enumerate
 from .render import JSON_FORMAT, dominoes_from_json, render_tiling, tiling_to_json
 from .tiling import height_of_tiling, validate_tiling
 
 
-def _load(path):
-    with open(path, encoding="utf-8") as fh:
-        figure = parse_figure(fh.read())
-    graph = build_graph(figure)
-    eqfn, weights = build_equilibrium(graph)
-    return figure, graph, eqfn, weights
+def _read(path) -> str:
+    """Text of a UTF-8 input file; undecodable bytes are a ParseError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc}") from exc
+
+
+def _non_negative(text) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{value} is negative")
+    return value
 
 
 def _vertex_str(v):
@@ -42,7 +50,7 @@ def _emit_tiling(figure, tiling, as_json):
 
 
 def _cmd_check(args):
-    figure, graph, eqfn, weights = _load(args.figure)
+    figure, graph, eqfn, weights = pipeline(_read(args.figure))
     tileable = True
     try:
         min_tiling(graph, weights)
@@ -65,21 +73,21 @@ def _cmd_check(args):
 
 
 def _cmd_extreme(args, which):
-    figure, graph, _, weights = _load(args.figure)
+    figure, graph, _, weights = pipeline(_read(args.figure))
     tiling = min_tiling(graph, weights) if which == "min" else max_tiling(graph, weights)
     _emit_tiling(figure, tiling, args.json)
     return 0
 
 
 def _cmd_count(args):
-    _, graph, _, weights = _load(args.figure)
+    _, graph, _, weights = pipeline(_read(args.figure))
     n = count_tilings(graph, weights)
     print(json.dumps({"format": JSON_FORMAT, "count": n}) if args.json else n)
     return 0
 
 
 def _cmd_enum(args):
-    figure, graph, _, weights = _load(args.figure)
+    figure, graph, _, weights = pipeline(_read(args.figure))
     stream = enumerate_tilings(graph, weights)
     if args.limit is not None:
         stream = itertools.islice(stream, args.limit)
@@ -94,7 +102,7 @@ def _cmd_enum(args):
 
 
 def _cmd_sample(args):
-    figure, graph, _, weights = _load(args.figure)
+    figure, graph, _, weights = pipeline(_read(args.figure))
     samples = [
         (seed, sample_uniform(graph, weights, seed))
         for seed in range(args.seed, args.seed + args.n)
@@ -113,11 +121,14 @@ def _cmd_sample(args):
 
 
 def _cmd_dist(args):
-    _, graph, _, weights = _load(args.figure)
+    _, graph, _, weights = pipeline(_read(args.figure))
     heights = []
     for path in (args.t1, args.t2):
-        with open(path, encoding="utf-8") as fh:
-            dominoes = dominoes_from_json(json.load(fh))
+        try:
+            data = json.loads(_read(path))
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{path} is not JSON: {exc}") from exc
+        dominoes = dominoes_from_json(data)
         tiling = validate_tiling(graph, dominoes)
         heights.append(height_of_tiling(graph, weights, tiling))
     h1, h2 = heights
@@ -147,7 +158,7 @@ def _cmd_dist(args):
 
 
 def _cmd_components(args):
-    _, graph, _, weights = _load(args.figure)
+    _, graph, _, weights = pipeline(_read(args.figure))
     cg = forced_components(graph, weights, min_tiling(graph, weights))
     if args.json:
         out = {
@@ -176,7 +187,7 @@ def _cmd_components(args):
 
 
 def _cmd_eq(args):
-    _, graph, eqfn, _ = _load(args.figure)
+    _, graph, eqfn, _ = pipeline(_read(args.figure))
     arcs = sorted((a, v) for a, v in eqfn.values.items() if v != 0)
     if args.json:
         out = {
@@ -196,7 +207,7 @@ def _cmd_eq(args):
 
 
 def _cmd_oracle_count(args):
-    figure, _, _, _ = _load(args.figure)
+    figure, _, _, _ = pipeline(_read(args.figure))
     print(len(brute_enumerate(figure)))
     return 0
 
@@ -216,10 +227,10 @@ def build_parser():
     add("max", help="maximal tiling")
     add("count", help="number of tilings")
     p = add("enum", help="all tilings in lexicographic order")
-    p.add_argument("--limit", type=int, default=None)
+    p.add_argument("--limit", type=_non_negative, default=None)
     p = add("sample", help="exact uniform samples")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("-n", type=int, default=1)
+    p.add_argument("-n", type=_non_negative, default=1)
     p = add("dist", help="flip distance between two tilings")
     p.add_argument("t1", help="tiling JSON file")
     p.add_argument("t2", help="tiling JSON file")

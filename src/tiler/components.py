@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 from .equilibrium import ArcWeights
 from .errors import NotACycle
-from .grid import FigureGraph, spin
+from .grid import FigureGraph
 from .tiling import HeightFunction, Tiling, g_of_tiling
 
 INFINITY = "infinity"
@@ -162,7 +162,7 @@ def is_strongly_critical(graph: FigureGraph, weights: ArcWeights, cycle) -> bool
     if not is_critical(graph, weights, cycle):
         return False
     return all(
-        spin(graph, (u, v)) == 1
+        weights.sp[(u, v)] == 1
         for u, v in zip(cycle, cycle[1:])
         if (u, v) not in graph.boundary_arcs
     )

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import TilerError
-from .grid import Cell, E, FigureGraph, W, cycle_spin, spin
+from .grid import Cell, E, FigureGraph, W, cycle_spin, spin_of_move
 
 
 @dataclass(frozen=True)
@@ -42,11 +42,18 @@ class EquilibriumFunction:
 
 @dataclass
 class ArcWeights:
-    """Per-arc weights eq_r, t, b and the eq = 0 spanning tree."""
+    """Per-arc weights eq_r, t, b, the spin sp and the eq = 0 spanning tree.
+
+    sp maps every arc of the graph to its spin (+1 with a white cell on the
+    left), computed once here so that later passes over the arcs need not
+    re-derive it.  On boundary arcs t = b = eq + sp; elsewhere
+    t = eq - sp + 2 and b = eq - sp - 2, so t(u, v) = -b(v, u) on every arc.
+    """
 
     graph: FigureGraph
     eqfn: EquilibriumFunction
     eq_r: dict
+    sp: dict
     t: dict
     b: dict
     tree_parent: dict  # vertex -> parent vertex (w0 -> None)
@@ -98,12 +105,14 @@ def step_values(graph: FigureGraph, cutlines) -> dict:
 
 
 def make_weights(graph: FigureGraph, eqfn: EquilibriumFunction, require_tree=True):
-    """Derive eq_r, t, b and (optionally) the eq = 0 spanning tree."""
+    """Derive eq_r, sp, t, b and (optionally) the eq = 0 spanning tree."""
     eq_r = {}
+    spins = {}
     t = {}
     b = {}
     for a in graph.arcs:
-        sp = spin(graph, a)
+        u, v = a
+        sp = spins[a] = spin_of_move((u.x, u.y), (v.x - u.x, v.y - u.y))
         e = eqfn(a)
         eq_r[a] = e - sp
         if a in graph.boundary_arcs:
@@ -124,7 +133,7 @@ def make_weights(graph: FigureGraph, eqfn: EquilibriumFunction, require_tree=Tru
                 queue.append(v)
     if require_tree and len(tree_order) != len(graph.vertices):
         raise TilerError("eq = 0 arcs do not span the figure graph")
-    return ArcWeights(graph, eqfn, eq_r, t, b, tree_parent, tree_order)
+    return ArcWeights(graph, eqfn, eq_r, spins, t, b, tree_parent, tree_order)
 
 
 def build_equilibrium(graph: FigureGraph):

@@ -84,23 +84,30 @@ def flip_distance(h1: HeightFunction, h2: HeightFunction, cg: ComponentGraph) ->
 
 
 def _monotone_path(cg, weights, start: HeightFunction, target: HeightFunction, direction):
-    """Flip sequence from start to a comparable target, one direction only."""
+    """Flip sequence from start to a comparable target, one direction only.
+
+    Sweeps the components that differ from the target, flipping each one
+    that can move.  A pending component is at least 4 from its target, so
+    one flip never overshoots and the order of the sweep does not matter.
+    """
     flips = []
     h = dict(start.h)
-    while True:
-        pending = [
-            i
-            for i, v in enumerate(cg.representatives)
-            if i != cg.infinity and h[v] != target.h[v]
-        ]
-        if not pending:
-            break
+    reps = cg.representatives
+    pending = [
+        i for i, v in enumerate(reps) if i != cg.infinity and h[v] != target.h[v]
+    ]
+    while pending:
+        applied = len(flips)
+        left = []
         for i in pending:
             if try_flip_inplace(cg, weights, h, i, direction):
                 flips.append(Flip(i, direction))
-                break
-        else:
+                if h[reps[i]] == target.h[reps[i]]:
+                    continue
+            left.append(i)
+        if len(flips) == applied:
             raise TilerError("no applicable flip towards the target")
+        pending = left
     return flips, HeightFunction(start.graph, h)
 
 

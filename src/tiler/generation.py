@@ -75,11 +75,13 @@ def plan_update(seed: int, when: int, q: int):
     return (u >> 1) % q, UP if u & 1 else DOWN
 
 
-def sample_uniform(
-    graph: FigureGraph, weights: ArcWeights, seed: int, check_sandwich: bool = True
-):
+def sample_uniform(graph: FigureGraph, weights: ArcWeights, seed: int):
     """Exact uniform sample via twin chains from the lattice's minimum and
-    maximum over doubling update windows."""
+    maximum over doubling update windows.
+
+    After each update the lower chain must stay below the upper one; only
+    the updated component moved, so only its vertices are checked.
+    """
     try:
         hmin, _ = minimal_height(graph, weights)
     except Untileable as exc:
@@ -99,7 +101,7 @@ def sample_uniform(
             comp = order[pos]
             try_flip_inplace(cg, weights, lo, comp, direction)
             try_flip_inplace(cg, weights, hi, comp, direction)
-            if check_sandwich and any(lo[v] > hi[v] for v in lo):
+            if any(lo[v] > hi[v] for v in cg.components[comp]):
                 raise AssertionError("CFTP sandwich property violated")
         if lo == hi:
             return tiling_of_height(graph, weights, HeightFunction(graph, lo))

@@ -161,20 +161,13 @@ class FigureGraph:
     holes: list
     w0: GridVertex
     outer_contour: Cycle  # counterclockwise around the figure, from w0
-    _dup: dict = field(repr=False, default_factory=dict)
-    _comp_of_cell: dict = field(repr=False, default_factory=dict)
+    _dup: dict = field(repr=False)  # pinch point -> "NE/SW" or "NW/SE"
+    _comp_of_cell: dict = field(repr=False)
 
     def vertex(self, p, d) -> GridVertex:
         """Vertex copy at lattice point p attached to the edge leaving in
         direction d."""
-        pattern = self._dup.get((p[0], p[1]))
-        if pattern is None:
-            return GridVertex(p[0], p[1], 0)
-        if pattern == "NE/SW":
-            copy = 0 if d in (N, E) else 1
-        else:  # "NW/SE"
-            copy = 0 if d in (N, W) else 1
-        return GridVertex(p[0], p[1], copy)
+        return _vertex_copy(self._dup, p, d)
 
     def complement_component(self, cell) -> Optional[int]:
         """Hole id containing the cell, or None for the infinite component."""
@@ -191,6 +184,19 @@ class FigureGraph:
     @property
     def boundary_vertices(self) -> frozenset:
         return frozenset(v for a in self.boundary_arcs for v in a)
+
+
+def _vertex_copy(dup, p, d) -> GridVertex:
+    """FigureGraph.vertex over the pinch map dup, usable before the graph
+    is built."""
+    pattern = dup.get((p[0], p[1]))
+    if pattern is None:
+        return GridVertex(p[0], p[1], 0)
+    if pattern == "NE/SW":
+        copy = 0 if d in (N, E) else 1
+    else:  # "NW/SE"
+        copy = 0 if d in (N, W) else 1
+    return GridVertex(p[0], p[1], copy)
 
 
 def _edge_side_cells(p, q):
@@ -229,25 +235,12 @@ def build_graph(figure: Figure) -> FigureGraph:
         elif nw and se and not ne and not sw:
             dup[(x, y)] = "NW/SE"
 
-    graph = FigureGraph(
-        figure=figure,
-        vertices=frozenset(),
-        arcs=frozenset(),
-        adjacency={},
-        boundary_arcs=frozenset(),
-        outer_boundary_arcs=frozenset(),
-        holes=[],
-        w0=GridVertex(0, 0),
-        outer_contour=[],
-        _dup=dup,
-    )
-
     arcs = set()
     for p, q in edges:
         d = (q[0] - p[0], q[1] - p[1])
         nd = (-d[0], -d[1])
-        u = graph.vertex(p, d)
-        v = graph.vertex(q, nd)
+        u = _vertex_copy(dup, p, d)
+        v = _vertex_copy(dup, q, nd)
         arcs.add((u, v))
         arcs.add((v, u))
     vertices = frozenset(v for a in arcs for v in a)
@@ -313,8 +306,8 @@ def build_graph(figure: Figure) -> FigureGraph:
             tail, head, td = p, q, d
         else:
             tail, head, td = q, p, (-d[0], -d[1])
-        u = graph.vertex(tail, td)
-        v = graph.vertex(head, (-td[0], -td[1]))
+        u = _vertex_copy(dup, tail, td)
+        v = _vertex_copy(dup, head, (-td[0], -td[1]))
         boundary_arcs.add((u, v))
         boundary_arcs.add((v, u))
         outside = right_cell(tail, td)
@@ -360,16 +353,19 @@ def build_graph(figure: Figure) -> FigureGraph:
         cw_cyc = rotate(contours[hid], min(contours[hid][:-1]))
         holes.append(Hole(id=hid, cells=hcells, clockwise_contour=cw_cyc))
 
-    graph.vertices = vertices
-    graph.arcs = frozenset(arcs)
-    graph.adjacency = adjacency
-    graph.boundary_arcs = frozenset(boundary_arcs)
-    graph.outer_boundary_arcs = frozenset(outer_boundary_arcs)
-    graph.holes = holes
-    graph.w0 = w0
-    graph.outer_contour = outer_ccw
-    graph._comp_of_cell = comp_map
-    return graph
+    return FigureGraph(
+        figure=figure,
+        vertices=vertices,
+        arcs=frozenset(arcs),
+        adjacency=adjacency,
+        boundary_arcs=frozenset(boundary_arcs),
+        outer_boundary_arcs=frozenset(outer_boundary_arcs),
+        holes=holes,
+        w0=w0,
+        outer_contour=outer_ccw,
+        _dup=dup,
+        _comp_of_cell=comp_map,
+    )
 
 
 def spin(graph: FigureGraph, a) -> int:

@@ -8,7 +8,7 @@ from collections import deque
 
 from .equilibrium import ArcWeights
 from .errors import DifferentFigures, Untileable
-from .grid import FigureGraph, spin
+from .grid import FigureGraph
 from .tiling import HeightFunction, Tiling, same_figure, tiling_of_height
 
 
@@ -54,13 +54,13 @@ def delta(h1: HeightFunction, h2: HeightFunction, components) -> int:
 
 
 def _boundary_heights(graph: FigureGraph, weights: ArcWeights) -> dict:
-    """Integrate g_F = eq + sp along the outer contour; every tiling agrees
-    with these values."""
-    eqfn = weights.eqfn
+    """Integrate g_F = t = eq + sp along the outer contour; every tiling
+    agrees with these values."""
+    t = weights.t
     contour = graph.outer_contour
     h = {contour[0]: 0}
     for u, v in zip(contour, contour[1:]):
-        val = h[u] + eqfn((u, v)) + spin(graph, (u, v))
+        val = h[u] + t[(u, v)]
         if v in h:
             if h[v] != val:
                 raise Untileable("outer boundary heights are contradictory")
@@ -77,112 +77,72 @@ def _tree_sums(graph: FigureGraph, weights: ArcWeights, table: dict) -> dict:
     return out
 
 
-def minimal_height(graph: FigureGraph, weights: ArcWeights, pinned=None):
-    """Worklist construction of the minimal height function.
+def _extremal_height(graph: FigureGraph, weights: ArcWeights, sign: int, pinned=None):
+    """Worklist construction of the minimal (sign = +1) or maximal
+    (sign = -1) height function.
 
-    Vertices start at their lower bound and violating vertices are raised by
-    4 until no arc difference exceeds t.  `pinned` maps vertices to frozen
+    Vertices start at their lower bound (upper for the maximum) and
+    violating vertices are raised (lowered) by 4 until no arc difference
+    exceeds t (falls below b); passing the opposite bound means no tiling.
+    One routine serves both because t(u, v) = -b(v, u): reversing every arc
+    swaps the minimum and the maximum.  `pinned` maps vertices to frozen
     height values (used by the lexicographic successor computation).
     Returns (height function, number of updates); raises Untileable.
     """
     n = len(graph.figure)
-    t = weights.t
-    h = _boundary_heights(graph, weights)
-    boundary = set(h)
-    tsum = _tree_sums(graph, weights, t)
-    bsum = _tree_sums(graph, weights, weights.b)
-    supv = {}
-    low = {}
-    for v in graph.vertices:
-        if v in boundary:
-            supv[v] = low[v] = h[v]
-        else:
-            supv[v] = tsum[v]
-            low[v] = bsum[v]
-            h[v] = low[v]
+    near, far = (weights.b, weights.t) if sign > 0 else (weights.t, weights.b)
+    fixed = _boundary_heights(graph, weights)
     if pinned:
-        for v, val in pinned.items():
-            h[v] = supv[v] = low[v] = val
+        fixed.update(pinned)
+    h = _tree_sums(graph, weights, near)
+    bound = _tree_sums(graph, weights, far)
+    for v, val in fixed.items():
+        h[v] = bound[v] = val
 
     adj = graph.adjacency
 
     def violating(v):
         hv = h[v]
-        return any(hv + t[(v, u)] < h[u] for u in adj[v])
+        return any(sign * (h[u] - hv - far[(v, u)]) > 0 for u in adj[v])
 
     queue = deque(v for v in sorted(graph.vertices) if violating(v))
     inq = set(queue)
     passes = 0
     limit = n * n
+    step = 4 * sign
     while queue:
         v = queue.popleft()
         inq.discard(v)
         if not violating(v):
             continue
-        h[v] += 4
+        h[v] += step
         passes += 1
         if passes > limit:
-            raise AssertionError("minimal-height pass counter exceeded n^2")
-        if h[v] > supv[v]:
-            raise Untileable(f"no tiling: height at {v} exceeds its bound")
+            kind = "minimal" if sign > 0 else "maximal"
+            raise AssertionError(f"{kind}-height pass counter exceeded n^2")
+        if sign * (h[v] - bound[v]) > 0:
+            raise Untileable(f"no tiling: height at {v} passes its bound")
         if violating(v) and v not in inq:
             queue.append(v)
             inq.add(v)
+        hv = h[v]
         for u in adj[v]:
-            if u not in inq and h[u] + t[(u, v)] < h[v]:
+            if u not in inq and sign * (hv - h[u] - far[(u, v)]) > 0:
                 queue.append(u)
                 inq.add(u)
     return HeightFunction(graph, h), passes
+
+
+def minimal_height(graph: FigureGraph, weights: ArcWeights, pinned=None):
+    """Minimal height function (with `pinned` vertices frozen) and the
+    number of worklist updates; raises Untileable."""
+    return _extremal_height(graph, weights, 1, pinned)
 
 
 def maximal_height(graph: FigureGraph, weights: ArcWeights):
-    """Mirror image of minimal_height: start at the upper bound, lower
-    violators by 4, fail below the lower bound."""
-    n = len(graph.figure)
-    t = weights.t
-    h = _boundary_heights(graph, weights)
-    boundary = set(h)
-    tsum = _tree_sums(graph, weights, t)
-    bsum = _tree_sums(graph, weights, weights.b)
-    supv = {}
-    low = {}
-    for v in graph.vertices:
-        if v in boundary:
-            supv[v] = low[v] = h[v]
-        else:
-            supv[v] = tsum[v]
-            low[v] = bsum[v]
-            h[v] = supv[v]
-
-    adj = graph.adjacency
-
-    def violating(v):
-        hv = h[v]
-        return any(h[u] + t[(u, v)] < hv for u in adj[v])
-
-    queue = deque(v for v in sorted(graph.vertices) if violating(v))
-    inq = set(queue)
-    passes = 0
-    limit = n * n
-    while queue:
-        v = queue.popleft()
-        inq.discard(v)
-        if not violating(v):
-            continue
-        h[v] -= 4
-        passes += 1
-        if passes > limit:
-            raise AssertionError("maximal-height pass counter exceeded n^2")
-        if h[v] < low[v]:
-            raise Untileable(f"no tiling: height at {v} falls below its bound")
-        if violating(v) and v not in inq:
-            queue.append(v)
-            inq.add(v)
-        for u in adj[v]:
-            if u not in inq and h[v] + t[(v, u)] < h[u]:
-                queue.append(u)
-                inq.add(u)
-    return HeightFunction(graph, h), passes
+    """Maximal height function and the number of worklist updates; raises
+    Untileable."""
+    return _extremal_height(graph, weights, -1)
 
 
 def min_tiling(graph: FigureGraph, weights: ArcWeights) -> Tiling:

@@ -41,6 +41,11 @@ def dominoes_from_json(data) -> list:
     if data.get("format", JSON_FORMAT) != JSON_FORMAT:
         raise ParseError(f"unsupported tiling format {data.get('format')!r}")
     try:
-        return [(tuple(c1), tuple(c2)) for c1, c2 in data["dominoes"]]
+        dominoes = [(tuple(c1), tuple(c2)) for c1, c2 in data["dominoes"]]
     except (TypeError, ValueError) as exc:
         raise ParseError(f"malformed dominoes list: {exc}") from exc
+    for domino in dominoes:
+        for cell in domino:
+            if len(cell) != 2 or any(type(x) is not int for x in cell):
+                raise ParseError(f"cell {list(cell)} is not two integers")
+    return dominoes

@@ -19,7 +19,7 @@ from .errors import (
     NotAHeightFunction,
     Overlap,
 )
-from .grid import Cell, FigureGraph, GridVertex, spin
+from .grid import Cell, FigureGraph
 
 # An axis is an undirected interior edge stored as a sorted pair of lattice
 # points ((x, y), (x', y')).
@@ -109,7 +109,7 @@ def g_of_tiling(graph: FigureGraph, weights: ArcWeights, tiling: Tiling) -> dict
     g = {}
     for a in graph.arcs:
         chi = 1 if arc_axis_key(a) in axes else 0
-        g[a] = weights.eq_r[a] + 2 * spin(graph, a) * (1 - 2 * chi)
+        g[a] = weights.eq_r[a] + 2 * weights.sp[a] * (1 - 2 * chi)
     return g
 
 
@@ -140,7 +140,7 @@ def tiling_of_height(graph: FigureGraph, weights: ArcWeights, hf: HeightFunction
         d = hf.h[v] - hf.h[u]
         if d not in (weights.b[a], weights.t[a]):
             raise NotAHeightFunction(f"difference {d} on arc {a} outside {{b, t}}")
-        if d - weights.eq_r[a] == -2 * spin(graph, a):
+        if d - weights.eq_r[a] == -2 * weights.sp[a]:
             axes.add(arc_axis_key(a))
     dominoes = [axis_cells(axis) for axis in axes]
     return validate_tiling(graph, dominoes)

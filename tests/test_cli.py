@@ -1,11 +1,18 @@
 """Command-line interface: verbs, exit codes and JSON output."""
 
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import tiler
 from tiler.cli import main
 
 from .conftest import CORPUS
@@ -153,11 +160,111 @@ class TestDiagnostics:
         assert "error:" in err
 
 
+def exit_code(*argv):
+    """main's return value, or the code of the SystemExit argparse raises."""
+    try:
+        return main(list(argv))
+    except SystemExit as exc:
+        return exc.code
+
+
+TILING_2X2 = b'{"dominoes": [[[0, 0], [0, 1]], [[1, 0], [1, 1]]]}'
+
+
+class TestBadInput:
+    @pytest.mark.parametrize(
+        "figure, tiling",
+        [
+            (b"##\n##\n", b'{"dominoes": [[[0, 0, 1], [0, 1]], [[1, 0], [1, 1]]]}'),
+            (b"##\n##\n", b'{"dominoes": [[[0, 0], [0.0, 1]], [[1, 0], [1, 1]]]}'),
+            (b"##\n##\n", b'{"dominoes": [[[0, 0], [0, true]], [[1, 0], [1, 1]]]}'),
+            (b"##\n##\n", b'{"dominoes": [[0, 0], [0, 1'),
+            (b"##\n##\n", b"\xff\xfe{}"),
+            (b"\xff#\n##\n", TILING_2X2),
+        ],
+        ids=["three-coordinates", "float", "bool", "invalid-json", "tiling-not-utf8", "figure-not-utf8"],
+    )
+    def test_malformed_files(self, capsys, tmp_path, figure, tiling):
+        fig = tmp_path / "fig.txt"
+        fig.write_bytes(figure)
+        t = tmp_path / "t.json"
+        t.write_bytes(tiling)
+        ok = tmp_path / "ok.json"
+        ok.write_bytes(TILING_2X2)
+        code, _, err = run(capsys, "dist", str(fig), str(t), str(ok))
+        assert code == 2
+        assert "error:" in err
+
+    @pytest.mark.parametrize(
+        "verb, extra",
+        [("enum", ["--limit", "-1"]), ("sample", ["--seed", "0", "-n", "-1"])],
+    )
+    def test_negative_counts(self, capsys, fig_file, verb, extra):
+        assert exit_code(verb, fig_file("2x2"), *extra) == 2
+        assert "error:" in capsys.readouterr().err
+
+
+@st.composite
+def figure_bytes(draw):
+    """Random bytes, or rows of '#' and '.' up to 6x6."""
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=64))
+    width = draw(st.integers(1, 6))
+    rows = draw(
+        st.lists(st.text(alphabet="#.", min_size=width, max_size=width), min_size=1, max_size=6)
+    )
+    return "\n".join(rows).encode()
+
+
+@st.composite
+def tiling_bytes(draw):
+    """Random bytes, or a JSON dominoes list of small, sometimes odd cells."""
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=64))
+    coord = st.integers(-1, 6)
+    cell = st.lists(coord, min_size=1, max_size=3)
+    dominoes = draw(st.lists(st.tuples(cell, cell), max_size=18))
+    return json.dumps({"dominoes": dominoes}).encode()
+
+
+FUZZ_VERBS = [
+    ["check"],
+    ["min"],
+    ["max", "--json"],
+    ["enum", "--limit", "3"],
+    ["sample", "--seed", "1"],
+    ["components"],
+    ["eq"],
+    ["dist", "T1", "T2", "--path"],
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(figure_bytes(), tiling_bytes(), tiling_bytes(), st.sampled_from(FUZZ_VERBS))
+def test_fuzz_exit_codes(figure, t1, t2, verb):
+    # Any figure and tiling files give exit 0, 1 or 2; an exception other
+    # than SystemExit escaping main would print a traceback.
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {}
+        for name, data in (("FIG", figure), ("T1", t1), ("T2", t2)):
+            paths[name] = os.path.join(tmp, name)
+            with open(paths[name], "wb") as fh:
+                fh.write(data)
+        argv = [verb[0], paths["FIG"]] + [paths.get(a, a) for a in verb[1:]]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = exit_code(*argv)
+    assert code in (0, 1, 2)
+
+
 def test_console_script(fig_file):
+    # The child imports the same `tiler` as this process, installed or not.
+    src = os.path.dirname(os.path.dirname(tiler.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     out = subprocess.run(
         [sys.executable, "-m", "tiler.cli", "count", fig_file("2x3")],
         capture_output=True,
         text=True,
         check=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert out.stdout.strip() == "3"

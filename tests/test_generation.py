@@ -2,6 +2,7 @@
 sampling."""
 
 import collections
+import itertools
 
 import pytest
 
@@ -109,6 +110,28 @@ class TestSampleUniform:
         )
         assert len(counts) == 2
         assert all(120 <= c <= 280 for c in counts.values())
+
+    def test_sandwich_violation_detected(self, monkeypatch):
+        # Chains alternate lower, upper: push the lower chain's component up
+        # regardless of availability and leave the upper chain alone, so the
+        # lower chain soon passes the upper one.
+        from tiler import generation
+
+        calls = itertools.count()
+
+        def lower_chain_only(cg, weights, h, i, direction):
+            n = next(calls)
+            if n > 10_000:
+                raise RuntimeError("the sandwich check never fired")
+            if n % 2 == 0:
+                for v in cg.components[i]:
+                    h[v] += 4
+            return True
+
+        monkeypatch.setattr(generation, "try_flip_inplace", lower_chain_only)
+        _, graph, _, weights = built("3x4")
+        with pytest.raises(AssertionError, match="CFTP sandwich property violated"):
+            sample_uniform(graph, weights, 0)
 
     def test_8x8_runs(self):
         _, graph, _, weights = built("8x8-two-holes")

@@ -164,6 +164,15 @@ class TestMinMax:
         assert passes_min <= n * n
         assert passes_max <= n * n
 
+    @pytest.mark.parametrize(
+        "name, passes", [("4x4", (3, 5)), ("3x4", (0, 3)), ("8x8-two-holes", (59, 63))]
+    )
+    def test_pinned_pass_counts(self, name, passes):
+        _, graph, _, weights = built(name)
+        _, passes_min = minimal_height(graph, weights)
+        _, passes_max = maximal_height(graph, weights)
+        assert (passes_min, passes_max) == passes
+
     def test_untileable_iff_oracle_empty(self):
         for name in ENUMERABLE:
             fig, graph, _, weights = built(name)
