@@ -8,7 +8,7 @@ acyclically, and that orientation determines the tiling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .equilibrium import ArcWeights
 from .errors import NotACycle
@@ -85,20 +85,7 @@ class ComponentGraph:
     representatives: tuple
     infinity: int
     quotient_edges: dict  # (i, j) with i < j -> representative arc from i to j
-    _flip_info: dict = field(repr=False, default_factory=dict)
-
-    def neighbors(self, i):
-        """Quotient neighbours of component i with an arc oriented out of i."""
-        info = self._flip_info.get(i)
-        if info is None:
-            info = []
-            for (a, b), arc in self.quotient_edges.items():
-                if a == i:
-                    info.append(arc)
-                elif b == i:
-                    info.append((arc[1], arc[0]))
-            self._flip_info[i] = info = tuple(info)
-        return info
+    neighbors: tuple  # per component i: an arc per quotient edge at i, out of i
 
 
 def forced_components(graph: FigureGraph, weights: ArcWeights, tiling: Tiling) -> ComponentGraph:
@@ -129,6 +116,10 @@ def forced_components(graph: FigureGraph, weights: ArcWeights, tiling: Tiling) -
         key = (min(i, j), max(i, j))
         if key not in quotient_edges:
             quotient_edges[key] = (u, v) if i < j else (v, u)
+    neighbors = [[] for _ in comps]
+    for (i, j), (u, v) in quotient_edges.items():
+        neighbors[i].append((u, v))
+        neighbors[j].append((v, u))
     return ComponentGraph(
         graph=graph,
         components=tuple(comps),
@@ -137,6 +128,7 @@ def forced_components(graph: FigureGraph, weights: ArcWeights, tiling: Tiling) -
         representatives=tuple(min(c) for c in comps),
         infinity=infinity,
         quotient_edges=quotient_edges,
+        neighbors=tuple(map(tuple, neighbors)),
     )
 
 

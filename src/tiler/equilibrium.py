@@ -22,9 +22,6 @@ class CutLine:
     cell; predecessor None means the infinite component."""
 
     hole_id: int
-    x_half: float
-    y_start: float
-    y_end: float
     predecessor: Optional[int]
     crossed_edges: tuple  # horizontal edges ((x,y),(x+1,y)), bottom to top
 
@@ -50,8 +47,6 @@ class ArcWeights:
     t = eq - sp + 2 and b = eq - sp - 2, so t(u, v) = -b(v, u) on every arc.
     """
 
-    graph: FigureGraph
-    eqfn: EquilibriumFunction
     eq_r: dict
     sp: dict
     t: dict
@@ -74,9 +69,6 @@ def build_cut_lines(graph: FigureGraph):
         lines.append(
             CutLine(
                 hole_id=hole.id,
-                x_half=cx + 0.5,
-                y_start=top + 0.5,
-                y_end=top + k + 0.5,
                 predecessor=graph.complement_component(Cell(cx, top + k)),
                 crossed_edges=crossed,
             )
@@ -133,7 +125,7 @@ def make_weights(graph: FigureGraph, eqfn: EquilibriumFunction, require_tree=Tru
                 queue.append(v)
     if require_tree and len(tree_order) != len(graph.vertices):
         raise TilerError("eq = 0 arcs do not span the figure graph")
-    return ArcWeights(graph, eqfn, eq_r, spins, t, b, tree_parent, tree_order)
+    return ArcWeights(eq_r, spins, t, b, tree_parent, tree_order)
 
 
 def build_equilibrium(graph: FigureGraph):

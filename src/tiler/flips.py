@@ -30,7 +30,7 @@ def component_status(cg: ComponentGraph, weights: ArcWeights, h: dict, i: int):
     """(has_incoming, has_outgoing) for component i in the orientation
     induced by the heights h."""
     has_in = has_out = False
-    for tail, head in cg.neighbors(i):
+    for tail, head in cg.neighbors[i]:
         if h[head] - h[tail] == weights.t[(tail, head)]:
             has_out = True
         else:

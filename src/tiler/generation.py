@@ -18,11 +18,12 @@ WINDOW_CAP = 2**32
 
 
 def component_order(cg: ComponentGraph):
-    """Fixed total order of the non-infinity components (by representative)."""
-    return sorted(
-        (i for i in range(len(cg.components)) if i != cg.infinity),
-        key=lambda i: cg.representatives[i],
-    )
+    """Fixed total order of the non-infinity components, by representative.
+
+    `forced_components` sorts the components by their least vertex, which is
+    the representative, so index order is representative order.
+    """
+    return [i for i in range(len(cg.components)) if i != cg.infinity]
 
 
 def enumerate_tilings(graph: FigureGraph, weights: ArcWeights):

@@ -199,142 +199,114 @@ def _vertex_copy(dup, p, d) -> GridVertex:
     return GridVertex(p[0], p[1], copy)
 
 
-def _edge_side_cells(p, q):
-    """The two grid cells flanking the undirected edge p-q (p < q)."""
-    if q[0] == p[0] + 1:  # horizontal edge
-        return Cell(p[0], p[1]), Cell(p[0], p[1] - 1)
-    return Cell(p[0], p[1]), Cell(p[0] - 1, p[1])  # vertical edge
+# A cell's corners counterclockwise from its lower-left one, each with the
+# direction of the side leaving it (which picks the corner's copy at a pinch)
+# and the offset of the cell across that side.
+_CORNERS = (
+    ((0, 0), E, (0, -1)),
+    ((1, 0), N, (1, 0)),
+    ((1, 1), W, (0, 1)),
+    ((0, 1), S, (-1, 0)),
+)
+
+
+def _complement_components(figure: Figure):
+    """8-connected components of the complement inside a 1-cell pad of the
+    bounding box, as (hole cell sets, cell -> hole id).
+
+    The first flood starts at the pad corner; the pad ring is connected, so
+    that flood is the infinite component and every later one is a hole.
+    """
+    cells = figure.cells
+    x0, y0 = figure.min_x - 1, figure.min_y - 1
+    x1, y1 = figure.min_x + figure.width, figure.min_y + figure.height
+
+    def flood(start, mark, value):
+        comp = [start]
+        mark[start] = value
+        for cx, cy in comp:
+            for dx in (-1, 0, 1):
+                for dy in (-1, 0, 1):
+                    nb = Cell(cx + dx, cy + dy)
+                    if (
+                        x0 <= nb.x <= x1
+                        and y0 <= nb.y <= y1
+                        and nb not in cells
+                        and nb not in mark
+                    ):
+                        mark[nb] = value
+                        comp.append(nb)
+        return comp
+
+    outside = {}
+    flood(Cell(x0, y0), outside, None)
+    hole_cells = []
+    comp_of_cell = {}
+    for sx in range(x0, x1 + 1):
+        for sy in range(y0, y1 + 1):
+            start = Cell(sx, sy)
+            if start in cells or start in outside or start in comp_of_cell:
+                continue
+            comp = flood(start, comp_of_cell, len(hole_cells))
+            hole_cells.append(frozenset(comp))
+    return hole_cells, comp_of_cell
 
 
 def build_graph(figure: Figure) -> FigureGraph:
     cells = figure.cells
-
-    edges = set()
-    for x, y in cells:
-        edges.add(((x, y), (x + 1, y)))
-        edges.add(((x, y + 1), (x + 1, y + 1)))
-        edges.add(((x, y), (x, y + 1)))
-        edges.add(((x + 1, y), (x + 1, y + 1)))
-
-    boundary_edges = set()
-    for p, q in edges:
-        c1, c2 = _edge_side_cells(p, q)
-        if (c1 in cells) != (c2 in cells):
-            boundary_edges.add((p, q))
+    hole_cells, comp_of_cell = _complement_components(figure)
 
     # Pinch points: exactly two diagonally opposite quadrant cells present.
+    # The upper of the two cells has the pinch as its lower-left (NE/SW) or
+    # lower-right (NW/SE) corner, so each pinch is found once.
     dup = {}
-    points = {p for e in edges for p in e}
-    for x, y in points:
-        ne = Cell(x, y) in cells
-        nw = Cell(x - 1, y) in cells
-        sw = Cell(x - 1, y - 1) in cells
-        se = Cell(x, y - 1) in cells
-        if ne and sw and not nw and not se:
+    for x, y in cells:
+        if Cell(x, y - 1) in cells:
+            continue
+        if Cell(x - 1, y - 1) in cells and Cell(x - 1, y) not in cells:
             dup[(x, y)] = "NE/SW"
-        elif nw and se and not ne and not sw:
-            dup[(x, y)] = "NW/SE"
+        if Cell(x + 1, y - 1) in cells and Cell(x + 1, y) not in cells:
+            dup[(x + 1, y)] = "NW/SE"
 
+    # One walk over the cells' sides, counterclockwise so that the cell is on
+    # the left.  An inner side is walked once from each of its cells, one way
+    # each; a boundary side gives both arcs and is the figure-on-the-left
+    # boundary arc, keyed by its tail with the hole on its right.
+    vertices = {}  # each vertex copy once: equal copies are one object
     arcs = set()
-    for p, q in edges:
-        d = (q[0] - p[0], q[1] - p[1])
-        nd = (-d[0], -d[1])
-        u = _vertex_copy(dup, p, d)
-        v = _vertex_copy(dup, q, nd)
-        arcs.add((u, v))
-        arcs.add((v, u))
-    vertices = frozenset(v for a in arcs for v in a)
+    boundary_arcs = set()
+    f_on_left = {}  # tail vertex -> (head vertex, hole id or None)
+    for x, y in cells:
+        ring = []
+        for (px, py), d, _ in _CORNERS:
+            v = _vertex_copy(dup, (x + px, y + py), d)
+            ring.append(vertices.setdefault(v, v))
+        for k, (_, _, (ox, oy)) in enumerate(_CORNERS):
+            u, v = ring[k], ring[k - 3]
+            arcs.add((u, v))
+            across = Cell(x + ox, y + oy)
+            if across not in cells:
+                arcs.add((v, u))
+                boundary_arcs.add((u, v))
+                boundary_arcs.add((v, u))
+                assert u not in f_on_left, "non-elementary contour at %s" % (u,)
+                f_on_left[u] = (v, comp_of_cell.get(across))
 
     adjacency = {}
     for u, v in arcs:
         adjacency.setdefault(u, []).append(v)
     adjacency = {u: tuple(sorted(vs)) for u, vs in adjacency.items()}
 
-    # Complement components (8-connected), found inside a 1-cell pad of the
-    # bounding box.  The component touching the pad ring is the infinite one.
-    x0, y0 = figure.min_x - 1, figure.min_y - 1
-    x1, y1 = figure.min_x + figure.width, figure.min_y + figure.height
-    comp_of_cell = {}
-    comp_cells = []
-    for sx in range(x0, x1 + 1):
-        for sy in range(y0, y1 + 1):
-            start = Cell(sx, sy)
-            if start in cells or start in comp_of_cell:
-                continue
-            comp_id = len(comp_cells)
-            comp = [start]
-            comp_of_cell[start] = comp_id
-            queue = deque([start])
-            infinite = False
-            while queue:
-                cx, cy = queue.popleft()
-                if cx in (x0, x1) or cy in (y0, y1):
-                    infinite = True
-                for dx in (-1, 0, 1):
-                    for dy in (-1, 0, 1):
-                        nb = Cell(cx + dx, cy + dy)
-                        if (
-                            x0 <= nb.x <= x1
-                            and y0 <= nb.y <= y1
-                            and nb not in cells
-                            and nb not in comp_of_cell
-                        ):
-                            comp_of_cell[nb] = comp_id
-                            comp.append(nb)
-                            queue.append(nb)
-            comp_cells.append((infinite, comp))
-
-    hole_ids = {}  # flood id -> hole id
-    holes_raw = []
-    for flood_id, (infinite, comp) in enumerate(comp_cells):
-        if infinite:
-            continue
-        hole_ids[flood_id] = len(holes_raw)
-        holes_raw.append(frozenset(comp))
-    comp_map = {}
-    for cell, flood_id in comp_of_cell.items():
-        if flood_id in hole_ids:
-            comp_map[cell] = hole_ids[flood_id]
-
-    boundary_arcs = set()
-    outer_boundary_arcs = set()
-    f_on_left = {}  # tail vertex -> arc, for arcs with the figure on the left
-    arc_right_comp = {}
-    for p, q in boundary_edges:
-        d = (q[0] - p[0], q[1] - p[1])
-        if left_cell(p, d) in cells:
-            tail, head, td = p, q, d
-        else:
-            tail, head, td = q, p, (-d[0], -d[1])
-        u = _vertex_copy(dup, tail, td)
-        v = _vertex_copy(dup, head, (-td[0], -td[1]))
-        boundary_arcs.add((u, v))
-        boundary_arcs.add((v, u))
-        outside = right_cell(tail, td)
-        comp = comp_map.get(outside)  # None = infinite component
-        if comp is None:
-            outer_boundary_arcs.add((u, v))
-            outer_boundary_arcs.add((v, u))
-        assert u not in f_on_left, "non-elementary contour at %s" % (u,)
-        f_on_left[u] = (u, v)
-        arc_right_comp[(u, v)] = comp
-
     # Extract contour cycles: one counterclockwise outer contour, one
     # clockwise contour per hole (the complement sits on the walker's right).
     contours = {}
-    remaining = dict(f_on_left)
-    while remaining:
-        u0, a0 = next(iter(remaining.items()))
-        cyc = [u0]
-        comp = arc_right_comp[a0]
-        a = a0
-        while True:
-            del remaining[a[0]]
-            assert arc_right_comp[a] == comp
-            cyc.append(a[1])
-            if a[1] == u0:
-                break
-            a = remaining[a[1]]
+    while f_on_left:
+        u0, (v, comp) = f_on_left.popitem()
+        cyc = [u0, v]
+        while v != u0:
+            v, c = f_on_left.pop(v)
+            assert c == comp
+            cyc.append(v)
         assert comp not in contours, "complement component with two contours"
         contours[comp] = cyc
 
@@ -342,29 +314,31 @@ def build_graph(figure: Figure) -> FigureGraph:
         i = cyc.index(start)
         return cyc[i:-1] + cyc[: i + 1]
 
-    outer_vertices = {v for a in outer_boundary_arcs for v in a}
-    w0 = min(outer_vertices)
-    outer_ccw = rotate(contours[None], w0)
+    outer = contours[None]
+    w0 = min(outer)
+    outer_boundary_arcs = frozenset(
+        a for u, v in zip(outer, outer[1:]) for a in ((u, v), (v, u))
+    )
 
     holes = []
-    for hid, hcells in enumerate(holes_raw):
+    for hid, hcells in enumerate(hole_cells):
         # Walking with the figure on the left keeps the hole on the right,
         # i.e. contours[hid] is already clockwise around the hole.
-        cw_cyc = rotate(contours[hid], min(contours[hid][:-1]))
+        cw_cyc = rotate(contours[hid], min(contours[hid]))
         holes.append(Hole(id=hid, cells=hcells, clockwise_contour=cw_cyc))
 
     return FigureGraph(
         figure=figure,
-        vertices=vertices,
+        vertices=frozenset(vertices),
         arcs=frozenset(arcs),
         adjacency=adjacency,
         boundary_arcs=frozenset(boundary_arcs),
-        outer_boundary_arcs=frozenset(outer_boundary_arcs),
+        outer_boundary_arcs=outer_boundary_arcs,
         holes=holes,
         w0=w0,
-        outer_contour=outer_ccw,
+        outer_contour=rotate(outer, w0),
         _dup=dup,
-        _comp_of_cell=comp_map,
+        _comp_of_cell=comp_of_cell,
     )
 
 

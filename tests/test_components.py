@@ -83,6 +83,20 @@ class TestForcedComponents:
         contour = set(graph.holes[0].clockwise_contour)
         assert contour <= cg.components[holes[0]]
 
+    def test_neighbors(self, corpus_name):
+        # Each quotient edge is listed once at each of its two components,
+        # oriented out of that component.
+        if COUNTS.get(corpus_name) == 0:
+            pytest.skip("untileable figure")
+        cg = components_of(corpus_name)
+        for i, arcs in enumerate(cg.neighbors):
+            for u, v in arcs:
+                assert cg.comp_of[u] == i != cg.comp_of[v]
+        for (i, j), arc in cg.quotient_edges.items():
+            assert cg.neighbors[i].count(arc) == 1
+            assert cg.neighbors[j].count((arc[1], arc[0])) == 1
+        assert sum(map(len, cg.neighbors)) == 2 * len(cg.quotient_edges)
+
     def test_representatives_minimal(self, enumerable_name):
         if COUNTS[enumerable_name] == 0:
             pytest.skip("untileable figure")

@@ -88,6 +88,19 @@ class TestBuildGraph:
             Cell(4, 5),
         }
 
+    def test_hole_numbering(self):
+        # Holes are numbered in column-major order of their cells, the key
+        # of the step values that `tiler eq` prints.
+        graph = build_graph(parse_figure("######\n#.##.#\n######\n##.###\n######"))
+        assert [sorted(h.cells) for h in graph.holes] == [
+            [Cell(1, 3)],
+            [Cell(2, 1)],
+            [Cell(4, 3)],
+        ]
+        assert [h.id for h in graph.holes] == [0, 1, 2]
+        for hole in graph.holes:
+            assert all(graph.complement_component(c) == hole.id for c in hole.cells)
+
     def test_hole_contour_is_clockwise(self, corpus_name):
         # Shoelace area is negative for a clockwise walk.
         _, graph, _, _ = built(corpus_name)
