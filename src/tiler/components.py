@@ -182,18 +182,19 @@ def to_orientation(cg: ComponentGraph, weights: ArcWeights, hf: HeightFunction) 
         edge_direction(cg, weights, hf.h, key) for key in cg.quotient_edges
     )
     # Quotients of tiling graphs are acyclic; verify by topological sort.
-    indeg = {i: 0 for i in range(len(cg.components))}
-    for _, j in arcs:
+    out = [[] for _ in cg.components]
+    indeg = [0] * len(cg.components)
+    for i, j in arcs:
+        out[i].append(j)
         indeg[j] += 1
-    ready = [i for i, d in indeg.items() if d == 0]
+    ready = [i for i, d in enumerate(indeg) if d == 0]
     seen = 0
     while ready:
         i = ready.pop()
         seen += 1
-        for a, b in arcs:
-            if a == i:
-                indeg[b] -= 1
-                if indeg[b] == 0:
-                    ready.append(b)
+        for j in out[i]:
+            indeg[j] -= 1
+            if indeg[j] == 0:
+                ready.append(j)
     assert seen == len(cg.components), "orientation has a cycle"
     return Orientation(arcs=arcs)

@@ -31,7 +31,9 @@ def enumerate_tilings(graph: FigureGraph, weights: ArcWeights):
 
     The successor of a tiling raises the last component that admits an
     upward flip and re-minimizes everything after it, by rerunning the
-    minimal-height worklist with the leading components pinned.
+    minimal-height relaxation with the leading components pinned.  Each
+    successor reruns it from scratch (the tree sums of b); its cost is the
+    number of relaxations, not the pass count it reports.
     """
     try:
         h, _ = minimal_height(graph, weights)

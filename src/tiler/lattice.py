@@ -1,5 +1,10 @@
 """The distributive lattice of height functions: inf/sup, comparison,
-distance, and the worklist algorithms for minimal and maximal tilings."""
+distance, and the minimal and maximal tilings.
+
+The extremal heights come from one shortest-path relaxation (Thurston 1990):
+each violating vertex jumps straight to the value its neighbours force, so
+the work is the number of relaxations, not the total height displacement.
+The reported pass count is still that displacement in 4-steps."""
 
 from __future__ import annotations
 
@@ -78,16 +83,24 @@ def _tree_sums(graph: FigureGraph, weights: ArcWeights, table: dict) -> dict:
 
 
 def _extremal_height(graph: FigureGraph, weights: ArcWeights, sign: int, pinned=None):
-    """Worklist construction of the minimal (sign = +1) or maximal
-    (sign = -1) height function.
+    """Minimal (sign = +1) or maximal (sign = -1) height function by direct
+    label-correcting relaxation.
 
-    Vertices start at their lower bound (upper for the maximum) and
-    violating vertices are raised (lowered) by 4 until no arc difference
-    exceeds t (falls below b); passing the opposite bound means no tiling.
-    One routine serves both because t(u, v) = -b(v, u): reversing every arc
-    swaps the minimum and the maximum.  `pinned` maps vertices to frozen
-    height values (used by the lexicographic successor computation).
-    Returns (height function, number of updates); raises Untileable.
+    The minimal height is the least fixed point of
+    h[v] = max_u(h[u] - t(v, u)) above the tree sums of b, with the outer
+    boundary and the `pinned` vertices frozen (`pinned` maps vertices to
+    height values; the lexicographic successor computation uses it).  A FIFO
+    worklist sets a violating vertex in one step to that maximum; every arc's
+    t is congruent mod 4 to the height difference, so each jump is a multiple
+    of 4 and the fixed point is the one that steps of 4 reach.  One routine
+    serves both extremes because t(u, v) = -b(v, u): reversing every arc
+    swaps the minimum and the maximum.  A frozen vertex that has to move, or
+    a vertex passing its opposite bound (the tree sums of t), means no
+    tiling.
+
+    Returns (height function, passes); passes is the total displacement
+    sum of |h_final - h_start| / 4, the number of 4-steps a worklist moving
+    one vertex by 4 at a time makes in any order.  Raises Untileable.
     """
     n = len(graph.figure)
     near, far = (weights.b, weights.t) if sign > 0 else (weights.t, weights.b)
@@ -100,32 +113,30 @@ def _extremal_height(graph: FigureGraph, weights: ArcWeights, sign: int, pinned=
         h[v] = bound[v] = val
 
     adj = graph.adjacency
+    best = max if sign > 0 else min
 
-    def violating(v):
-        hv = h[v]
-        return any(sign * (h[u] - hv - far[(v, u)]) > 0 for u in adj[v])
+    def pull(v):
+        # The value the neighbours of v force on it.
+        return best(h[u] - far[(v, u)] for u in adj[v])
 
-    queue = deque(v for v in sorted(graph.vertices) if violating(v))
+    queue = deque(v for v in sorted(graph.vertices) if sign * (pull(v) - h[v]) > 0)
     inq = set(queue)
-    passes = 0
+    passes = relaxations = 0
     limit = n * n
-    step = 4 * sign
     while queue:
         v = queue.popleft()
         inq.discard(v)
-        if not violating(v):
+        hv = pull(v)
+        if sign * (hv - h[v]) <= 0:
             continue
-        h[v] += step
-        passes += 1
-        if passes > limit:
+        passes += sign * (hv - h[v]) // 4
+        h[v] = hv
+        relaxations += 1
+        if relaxations > limit:
             kind = "minimal" if sign > 0 else "maximal"
-            raise AssertionError(f"{kind}-height pass counter exceeded n^2")
-        if sign * (h[v] - bound[v]) > 0:
+            raise AssertionError(f"{kind}-height relaxation counter exceeded n^2")
+        if sign * (hv - bound[v]) > 0:
             raise Untileable(f"no tiling: height at {v} passes its bound")
-        if violating(v) and v not in inq:
-            queue.append(v)
-            inq.add(v)
-        hv = h[v]
         for u in adj[v]:
             if u not in inq and sign * (hv - h[u] - far[(u, v)]) > 0:
                 queue.append(u)
@@ -134,14 +145,15 @@ def _extremal_height(graph: FigureGraph, weights: ArcWeights, sign: int, pinned=
 
 
 def minimal_height(graph: FigureGraph, weights: ArcWeights, pinned=None):
-    """Minimal height function (with `pinned` vertices frozen) and the
-    number of worklist updates; raises Untileable."""
+    """Minimal height function (with `pinned` vertices frozen) and its pass
+    count, the displacement from the start values in 4-steps; raises
+    Untileable."""
     return _extremal_height(graph, weights, 1, pinned)
 
 
 def maximal_height(graph: FigureGraph, weights: ArcWeights):
-    """Maximal height function and the number of worklist updates; raises
-    Untileable."""
+    """Maximal height function and its pass count, the displacement from
+    the start values in 4-steps; raises Untileable."""
     return _extremal_height(graph, weights, -1)
 
 

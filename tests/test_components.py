@@ -2,6 +2,7 @@
 
 import pytest
 
+from tiler import components
 from tiler.components import (
     HOLE,
     INFINITY,
@@ -15,7 +16,7 @@ from tiler.components import (
 from tiler.errors import NotACycle
 from tiler.generation import enumerate_tilings
 from tiler.grid import GridVertex
-from tiler.lattice import max_tiling, min_tiling
+from tiler.lattice import max_tiling, min_tiling, minimal_height
 from tiler.tiling import height_of_tiling
 
 from .conftest import COUNTS, built
@@ -217,3 +218,34 @@ class TestOrientation:
         assert self._reaches(reversed_arcs, {cg.infinity}, n) == set(range(n))
         o_max = to_orientation(cg, weights, hmax)
         assert self._reaches(o_max.arcs, {cg.infinity}, n) == set(range(n))
+
+    def test_cycle_trips_assertion(self, monkeypatch):
+        """Point one 4-cycle of the quotient graph around the cycle: the
+        acyclicity check must fire."""
+        _, graph, _, weights = built("4x4")
+        cg = components_of("4x4")
+        adj = {i: set() for i in range(len(cg.components))}
+        for i, j in cg.quotient_edges:
+            adj[i].add(j)
+            adj[j].add(i)
+        cycle = next(
+            (a, b, c, d)
+            for a, b in cg.quotient_edges
+            for c in adj[b] - {a}
+            for d in adj[c] - {a, b}
+            if a in adj[d]
+        )
+        around = {(x, y) for x, y in zip(cycle, cycle[1:] + cycle[:1])}
+        real = components.edge_direction
+
+        def fake(cg, weights, h, key):
+            if key in around:
+                return key
+            if key[::-1] in around:
+                return key[::-1]
+            return real(cg, weights, h, key)
+
+        monkeypatch.setattr(components, "edge_direction", fake)
+        hmin, _ = minimal_height(graph, weights)
+        with pytest.raises(AssertionError, match="orientation has a cycle"):
+            to_orientation(cg, weights, hmin)

@@ -13,6 +13,8 @@ from tiler.lattice import compare, maximal_height, minimal_height, OrderRelation
 from tiler.oracle import brute_enumerate
 from tiler.tiling import height_of_tiling, tiling_of_height
 
+from .stepwise import outcome, stepwise_extremal_height
+
 
 @st.composite
 def small_figures(draw):
@@ -127,6 +129,20 @@ def test_figure_graph_from_cells(figure):
     seen += [v for u, vs in graph.adjacency.items() for v in (u, *vs)]
     seen += graph.outer_contour + [v for h in graph.holes for v in h.clockwise_contour]
     assert all(held[v] is v for v in seen)
+
+
+@settings(max_examples=200, deadline=None)
+@given(masked_figures())
+def test_relaxation_matches_stepwise(figure):
+    """The direct relaxation against the reference ±4 worklist: equal
+    heights, equal pass counts and the same Untileable verdicts."""
+    _, graph, _, weights = pipeline_from_cells(figure.cells)
+    assert outcome(minimal_height, graph, weights) == outcome(
+        stepwise_extremal_height, graph, weights, 1
+    )
+    assert outcome(maximal_height, graph, weights) == outcome(
+        stepwise_extremal_height, graph, weights, -1
+    )
 
 
 def pipeline_from_cells(cells):
