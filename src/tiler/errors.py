@@ -45,6 +45,10 @@ class DominoOutsideFigure(TilerError):
     """A domino uses a cell that is not part of the figure."""
 
 
+class NotADomino(TilerError, ValueError):
+    """The two cells of a domino are not adjacent (or are the same cell)."""
+
+
 class InconsistentCycle(TilerError):
     """Height integration found a cycle with nonzero sum (internal bug)."""
 

@@ -4,12 +4,18 @@ by monotone coupling from the past."""
 from __future__ import annotations
 
 import struct
-from hashlib import blake2b
+
+try:
+    # The same type as hashlib.blake2b; importing hashlib would also load
+    # OpenSSL (_hashlib), several MB of resident memory that is never used.
+    from _blake2 import blake2b
+except ImportError:
+    from hashlib import blake2b
 
 from .components import ComponentGraph, forced_components
 from .equilibrium import ArcWeights
 from .errors import NotTileable, Untileable
-from .flips import DOWN, UP, component_status, try_flip_inplace
+from .flips import DOWN, UP, try_flip_inplace
 from .grid import FigureGraph
 from .lattice import maximal_height, minimal_height
 from .tiling import HeightFunction, tiling_of_height
@@ -26,43 +32,53 @@ def component_order(cg: ComponentGraph):
     return [i for i in range(len(cg.components)) if i != cg.infinity]
 
 
+def _lex_heights(graph: FigureGraph, weights: ArcWeights):
+    """Yield the height dict of every tiling in lexicographic order; it is
+    one dict, updated in place after each yield.
+
+    The successor raises the last component in `component_order` that admits
+    an upward flip, then flips later components down until none can move.
+    The tilings that agree with it up to the raised component form a convex
+    sublattice whose covering relations are flips of the later components,
+    so this reaches that sublattice's minimum, the lexicographic successor.
+    """
+    try:
+        hf, _ = minimal_height(graph, weights)
+    except Untileable:
+        return
+    cg = forced_components(graph, weights, tiling_of_height(graph, weights, hf))
+    order = component_order(cg)
+    h = hf.h
+    yield h
+    while True:
+        for pos in range(len(order) - 1, -1, -1):
+            if try_flip_inplace(cg, weights, h, order[pos], UP):
+                break
+        else:
+            return
+        free = order[pos + 1 :]
+        moved = True
+        while moved:
+            moved = False
+            for i in free:
+                if try_flip_inplace(cg, weights, h, i, DOWN):
+                    moved = True
+        yield h
+
+
 def enumerate_tilings(graph: FigureGraph, weights: ArcWeights):
     """Yield every tiling, starting at the minimum, in lexicographic order.
 
-    The successor of a tiling raises the last component that admits an
-    upward flip and re-minimizes everything after it, by rerunning the
-    minimal-height relaxation with the leading components pinned.  Each
-    successor reruns it from scratch (the tree sums of b); its cost is the
-    number of relaxations, not the pass count it reports.
+    One minimal-height relaxation per figure; each successor is then reached
+    by flips (see `_lex_heights`) and decoded.
     """
-    try:
-        h, _ = minimal_height(graph, weights)
-    except Untileable:
-        return
-    cg = forced_components(graph, weights, tiling_of_height(graph, weights, h))
-    order = component_order(cg)
-    yield tiling_of_height(graph, weights, h)
-    while True:
-        pos = None
-        for k in range(len(order) - 1, -1, -1):
-            has_in, _ = component_status(cg, weights, h.h, order[k])
-            if not has_in:
-                pos = k
-                break
-        if pos is None:
-            return
-        pinned = {}
-        for k in range(pos):
-            for v in cg.components[order[k]]:
-                pinned[v] = h.h[v]
-        for v in cg.components[order[pos]]:
-            pinned[v] = h.h[v] + 4
-        h, _ = minimal_height(graph, weights, pinned=pinned)
-        yield tiling_of_height(graph, weights, h)
+    for h in _lex_heights(graph, weights):
+        yield tiling_of_height(graph, weights, HeightFunction(graph, h))
 
 
 def count_tilings(graph: FigureGraph, weights: ArcWeights) -> int:
-    return sum(1 for _ in enumerate_tilings(graph, weights))
+    """Number of tilings, by walking the enumeration's heights undecoded."""
+    return sum(1 for _ in _lex_heights(graph, weights))
 
 
 def plan_update(seed: int, when: int, q: int):

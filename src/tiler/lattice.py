@@ -82,21 +82,19 @@ def _tree_sums(graph: FigureGraph, weights: ArcWeights, table: dict) -> dict:
     return out
 
 
-def _extremal_height(graph: FigureGraph, weights: ArcWeights, sign: int, pinned=None):
+def _extremal_height(graph: FigureGraph, weights: ArcWeights, sign: int):
     """Minimal (sign = +1) or maximal (sign = -1) height function by direct
     label-correcting relaxation.
 
     The minimal height is the least fixed point of
     h[v] = max_u(h[u] - t(v, u)) above the tree sums of b, with the outer
-    boundary and the `pinned` vertices frozen (`pinned` maps vertices to
-    height values; the lexicographic successor computation uses it).  A FIFO
-    worklist sets a violating vertex in one step to that maximum; every arc's
-    t is congruent mod 4 to the height difference, so each jump is a multiple
-    of 4 and the fixed point is the one that steps of 4 reach.  One routine
-    serves both extremes because t(u, v) = -b(v, u): reversing every arc
-    swaps the minimum and the maximum.  A frozen vertex that has to move, or
-    a vertex passing its opposite bound (the tree sums of t), means no
-    tiling.
+    boundary frozen.  A FIFO worklist sets a violating vertex in one step to
+    that maximum; every arc's t is congruent mod 4 to the height difference,
+    so each jump is a multiple of 4 and the fixed point is the one that steps
+    of 4 reach.  One routine serves both extremes because
+    t(u, v) = -b(v, u): reversing every arc swaps the minimum and the
+    maximum.  A frozen vertex that has to move, or a vertex passing its
+    opposite bound (the tree sums of t), means no tiling.
 
     Returns (height function, passes); passes is the total displacement
     sum of |h_final - h_start| / 4, the number of 4-steps a worklist moving
@@ -104,12 +102,9 @@ def _extremal_height(graph: FigureGraph, weights: ArcWeights, sign: int, pinned=
     """
     n = len(graph.figure)
     near, far = (weights.b, weights.t) if sign > 0 else (weights.t, weights.b)
-    fixed = _boundary_heights(graph, weights)
-    if pinned:
-        fixed.update(pinned)
     h = _tree_sums(graph, weights, near)
     bound = _tree_sums(graph, weights, far)
-    for v, val in fixed.items():
+    for v, val in _boundary_heights(graph, weights).items():
         h[v] = bound[v] = val
 
     adj = graph.adjacency
@@ -144,11 +139,11 @@ def _extremal_height(graph: FigureGraph, weights: ArcWeights, sign: int, pinned=
     return HeightFunction(graph, h), passes
 
 
-def minimal_height(graph: FigureGraph, weights: ArcWeights, pinned=None):
-    """Minimal height function (with `pinned` vertices frozen) and its pass
-    count, the displacement from the start values in 4-steps; raises
-    Untileable."""
-    return _extremal_height(graph, weights, 1, pinned)
+def minimal_height(graph: FigureGraph, weights: ArcWeights):
+    """Minimal height function and its pass count, the displacement from
+    the start values in 4-steps; raises Untileable.  Enumeration starts
+    here and reaches every other tiling by flips."""
+    return _extremal_height(graph, weights, 1)
 
 
 def maximal_height(graph: FigureGraph, weights: ArcWeights):

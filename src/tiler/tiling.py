@@ -16,6 +16,7 @@ from .errors import (
     DominoOutsideFigure,
     Gap,
     InconsistentCycle,
+    NotADomino,
     NotAHeightFunction,
     Overlap,
 )
@@ -32,7 +33,7 @@ def domino_axis(c1, c2):
         return ((x2, y1), (x2, y1 + 1))
     if (x2, y2) == (x1, y1 + 1):  # vertical domino, horizontal axis
         return ((x1, y2), (x1 + 1, y2))
-    raise ValueError(f"cells {c1} and {c2} are not adjacent")
+    raise NotADomino(f"cells {c1} and {c2} are not adjacent")
 
 
 def axis_cells(axis):

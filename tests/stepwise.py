@@ -5,14 +5,19 @@ Vertices start at their lower bound (upper for the maximum) and a violating
 vertex is raised (lowered) by exactly 4 at a time until no arc difference
 exceeds t (falls below b); passing the opposite bound means no tiling.
 Its work equals the total height displacement, so it is slow on large
-figures; the tests run it on small ones only.
+figures; the tests run it on small ones only.  With `pinned` vertices frozen
+as well it also gives the lexicographic successors that enumeration reaches
+by flips.
 """
 
 from collections import deque
 
+from tiler.components import forced_components
 from tiler.errors import Untileable
+from tiler.flips import component_status
+from tiler.generation import component_order, enumerate_tilings
 from tiler.lattice import _boundary_heights, _tree_sums
-from tiler.tiling import HeightFunction
+from tiler.tiling import HeightFunction, height_of_tiling
 
 
 def stepwise_extremal_height(graph, weights, sign, pinned=None):
@@ -68,3 +73,34 @@ def outcome(fn, *args, **kwargs):
     except Untileable:
         return "untileable"
     return hf.h, passes
+
+
+def stepwise_successor(graph, weights, cg, order, h):
+    """Heights of the lexicographic successor of the heights h, computed
+    with pins: the components in `order` before the last one that can flip
+    up keep their heights, that one is pinned 4 higher, and the ±4 worklist
+    minimizes the rest.  None if no component can flip up."""
+    up = [k for k, i in enumerate(order) if not component_status(cg, weights, h, i)[0]]
+    if not up:
+        return None
+    pos = up[-1]
+    pinned = {v: h[v] for i in order[:pos] for v in cg.components[i]}
+    pinned.update((v, h[v] + 4) for v in cg.components[order[pos]])
+    return stepwise_extremal_height(graph, weights, 1, pinned)[0].h
+
+
+def assert_successors_match_stepwise(graph, weights):
+    """enumerate_tilings starts at the reference minimum, each later tiling
+    is the pinned reference successor of the one before, and the last one
+    has no successor."""
+    tilings = list(enumerate_tilings(graph, weights))
+    heights = [height_of_tiling(graph, weights, t).h for t in tilings]
+    first = outcome(stepwise_extremal_height, graph, weights, 1)
+    if first == "untileable":
+        assert heights == []
+        return
+    assert heights[0] == first[0]
+    cg = forced_components(graph, weights, tilings[0])
+    order = component_order(cg)
+    for h, successor in zip(heights, heights[1:] + [None]):
+        assert stepwise_successor(graph, weights, cg, order, h) == successor

@@ -181,8 +181,19 @@ class TestBadInput:
             (b"##\n##\n", b'{"dominoes": [[0, 0], [0, 1'),
             (b"##\n##\n", b"\xff\xfe{}"),
             (b"\xff#\n##\n", TILING_2X2),
+            (b"##\n##\n", b'{"dominoes": [[[0, 0], [1, 1]], [[1, 0], [0, 1]]]}'),
+            (b"##\n##\n", b'{"dominoes": [[[0, 0], [0, 0]], [[1, 0], [1, 1]]]}'),
         ],
-        ids=["three-coordinates", "float", "bool", "invalid-json", "tiling-not-utf8", "figure-not-utf8"],
+        ids=[
+            "three-coordinates",
+            "float",
+            "bool",
+            "invalid-json",
+            "tiling-not-utf8",
+            "figure-not-utf8",
+            "diagonal-domino",
+            "same-cell-domino",
+        ],
     )
     def test_malformed_files(self, capsys, tmp_path, figure, tiling):
         fig = tmp_path / "fig.txt"

@@ -2,10 +2,16 @@
 sampling."""
 
 import collections
+import hashlib
 import itertools
+import os
+import subprocess
+import sys
 
 import pytest
 
+import tiler
+from tiler import generation
 from tiler.components import forced_components
 from tiler.errors import NotTileable
 from tiler.generation import (
@@ -15,11 +21,12 @@ from tiler.generation import (
     plan_update,
     sample_uniform,
 )
-from tiler.lattice import max_tiling, min_tiling
+from tiler.lattice import max_tiling, min_tiling, minimal_height
 from tiler.oracle import brute_enumerate
 from tiler.tiling import height_of_tiling
 
 from .conftest import COUNTS, built
+from .stepwise import assert_successors_match_stepwise
 
 
 class TestEnumerate:
@@ -60,6 +67,22 @@ class TestEnumerate:
         for k1, k2 in zip(keys, keys[1:]):
             assert k1 < k2
 
+    def test_successors_match_stepwise(self, enumerable_name):
+        _, graph, _, weights = built(enumerable_name)
+        assert_successors_match_stepwise(graph, weights)
+
+    def test_one_relaxation_per_figure(self, enumerable_name, monkeypatch):
+        calls = []
+
+        def recording(graph, weights):
+            calls.append(graph)
+            return minimal_height(graph, weights)
+
+        monkeypatch.setattr(generation, "minimal_height", recording)
+        _, graph, _, weights = built(enumerable_name)
+        assert sum(1 for _ in enumerate_tilings(graph, weights)) == COUNTS[enumerable_name]
+        assert calls == [graph]
+
 
 class TestPlanUpdate:
     def test_deterministic(self):
@@ -68,6 +91,31 @@ class TestPlanUpdate:
     def test_varies_with_time(self):
         picks = {plan_update(5, t, 97) for t in range(64)}
         assert len(picks) > 16
+
+
+class TestBlake2b:
+    def test_same_as_hashlib(self):
+        # So digests, and every sample, are the ones hashlib gives.
+        assert generation.blake2b is hashlib.blake2b
+
+    def test_openssl_not_loaded(self):
+        pytest.importorskip("_blake2")
+        src = os.path.dirname(os.path.dirname(tiler.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        code = (
+            "import sys, tiler\n"
+            "_, graph, _, weights = tiler.pipeline('##\\n##')\n"
+            "tiler.sample_uniform(graph, weights, 0)\n"
+            "print('_hashlib' in sys.modules)\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert out.stdout.strip() == "False"
 
 
 class TestSampleUniform:

@@ -4,10 +4,9 @@ import itertools
 
 import pytest
 
-from tiler import generation
+from tiler import pipeline
 from tiler.components import forced_components
 from tiler.errors import DifferentFigures, Untileable
-from tiler.grid import GridVertex
 from tiler.generation import enumerate_tilings
 from tiler.lattice import (
     OrderRelation,
@@ -202,52 +201,31 @@ class TestMinMax:
             min_tiling(graph, weights)
 
 
-class TestPinnedRelaxation:
-    def test_enumeration_calls_match_stepwise(self, enumerable_name, monkeypatch):
-        """Every minimal_height call enumerate_tilings makes, pinned or not,
-        gives the same heights and pass count as the ±4 reference."""
-        _, graph, _, weights = built(enumerable_name)
-        calls = []
+class TestUntileable:
+    """Each way the relaxation finds no tiling raises Untileable, not
+    AssertionError, and names the vertex."""
 
-        def recording(graph, weights, pinned=None):
-            calls.append(pinned)
-            return minimal_height(graph, weights, pinned=pinned)
-
-        monkeypatch.setattr(generation, "minimal_height", recording)
-        assert sum(1 for _ in enumerate_tilings(graph, weights)) == COUNTS[enumerable_name]
-        assert len(calls) == max(COUNTS[enumerable_name], 1)
-        for pinned in calls:
-            assert outcome(minimal_height, graph, weights, pinned=pinned) == outcome(
-                stepwise_extremal_height, graph, weights, 1, pinned
-            )
-
-    def _raises_at(self, name, pin, value):
-        """Pin `pin` at `value` and return the vertex the Untileable
-        message names, checking the reference agrees on the verdict."""
-        _, graph, _, weights = built(name)
-        pinned = {pin: value}
+    def _named_vertex(self, text, sign):
+        """The vertex the Untileable message names, checking the reference
+        agrees on the verdict."""
+        _, graph, _, weights = pipeline(text)
+        extremal = minimal_height if sign > 0 else maximal_height
         with pytest.raises(Untileable) as err:
-            minimal_height(graph, weights, pinned=pinned)
-        assert outcome(stepwise_extremal_height, graph, weights, 1, pinned) == "untileable"
+            extremal(graph, weights)
+        assert outcome(stepwise_extremal_height, graph, weights, sign) == "untileable"
         named = [v for v in graph.vertices if repr(v) in str(err.value)]
         assert len(named) == 1
         return graph, named[0]
 
-    def test_pin_moves_frozen_vertex(self):
-        # The 2x2 center's maximum is 2; at 6 its boundary neighbours, which
-        # are frozen, would have to rise.
-        graph, v = self._raises_at("2x2", GridVertex(1, 1), 6)
+    @pytest.mark.parametrize("sign", [1, -1], ids=["min", "max"])
+    def test_frozen_vertex_must_move(self, sign):
+        # Balanced, but both ends of each bar need the bar's middle cell; an
+        # outer contour vertex is the first to be forced to move.
+        graph, v = self._named_vertex("###\n.#.\n.#.\n###", sign)
         assert v in graph.outer_contour
 
-    def test_pin_below_its_minimum(self):
-        # The 2x2 center's minimum is -2; at -6 the pinned vertex itself
-        # would have to rise.
-        _, v = self._raises_at("2x2", GridVertex(1, 1), -6)
-        assert v == GridVertex(1, 1)
-
-    def test_pin_pushes_free_vertex_past_bound(self):
-        # The 4x4 center's maximum is 4; pinned at 44 it forces a free
-        # neighbour far past its bound in one relaxation.
-        graph, v = self._raises_at("4x4", GridVertex(2, 2), 44)
-        assert v in graph.adjacency[GridVertex(2, 2)]
+    def test_free_vertex_past_bound(self):
+        # Balanced but untileable: an interior vertex of the spine is pushed
+        # past its upper bound before any boundary vertex has to move.
+        graph, v = self._named_vertex(".##.#\n#####\n.#..#", 1)
         assert v not in graph.outer_contour

@@ -7,13 +7,13 @@ from hypothesis import strategies as st
 
 from tiler.equilibrium import verify_equilibrium
 from tiler.errors import ParseError, Untileable
-from tiler.generation import enumerate_tilings
+from tiler.generation import count_tilings, enumerate_tilings
 from tiler.grid import Cell, build_graph, make_figure, parse_figure
 from tiler.lattice import compare, maximal_height, minimal_height, OrderRelation
 from tiler.oracle import brute_enumerate
 from tiler.tiling import height_of_tiling, tiling_of_height
 
-from .stepwise import outcome, stepwise_extremal_height
+from .stepwise import assert_successors_match_stepwise, outcome, stepwise_extremal_height
 
 
 @st.composite
@@ -70,11 +70,11 @@ def test_extremes_and_round_trip(figure):
 
 
 @st.composite
-def masked_figures(draw):
-    """A random mask of a rectangle of at most 7x7 cells, if it parses;
-    such masks give holes and pinch points."""
+def masked_figures(draw, max_cells=49):
+    """A random mask of a rectangle of at most 7x7 and at most `max_cells`
+    cells, if it parses; such masks give holes and pinch points."""
     w = draw(st.integers(1, 7))
-    h = draw(st.integers(1, 7))
+    h = draw(st.integers(1, min(7, max_cells // w)))
     bits = draw(st.lists(st.integers(0, 3), min_size=w * h, max_size=w * h))
     text = "\n".join(
         "".join("#" if bits[r * w + c] else "." for c in range(w)) for r in range(h)
@@ -143,6 +143,23 @@ def test_relaxation_matches_stepwise(figure):
     assert outcome(maximal_height, graph, weights) == outcome(
         stepwise_extremal_height, graph, weights, -1
     )
+
+
+@settings(max_examples=200, deadline=None)
+@given(masked_figures(max_cells=24))
+def test_count_matches_oracle(figure):
+    """count_tilings, which decodes no tiling, against the oracle on masks
+    small enough for it."""
+    _, graph, _, weights = pipeline_from_cells(figure.cells)
+    assert count_tilings(graph, weights) == len(brute_enumerate(figure))
+
+
+@settings(max_examples=200, deadline=None)
+@given(masked_figures(max_cells=24))
+def test_successors_match_stepwise(figure):
+    """Each successor reached by flips is the pinned ±4 minimum."""
+    _, graph, _, weights = pipeline_from_cells(figure.cells)
+    assert_successors_match_stepwise(graph, weights)
 
 
 def pipeline_from_cells(cells):

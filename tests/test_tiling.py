@@ -8,8 +8,10 @@ from tiler.equilibrium import make_weights
 from tiler.errors import (
     DominoOutsideFigure,
     Gap,
+    NotADomino,
     NotAHeightFunction,
     Overlap,
+    TilerError,
 )
 from tiler.generation import enumerate_tilings
 from tiler.tiling import (
@@ -59,6 +61,15 @@ class TestValidateTiling:
         _, graph, _, _ = built("2x2")
         with pytest.raises(DominoOutsideFigure):
             validate_tiling(graph, [((0, 0), (0, 1)), ((1, 1), (2, 1))])
+
+    @pytest.mark.parametrize(
+        "pair", [((0, 0), (1, 1)), ((0, 0), (0, 0))], ids=["diagonal", "same-cell"]
+    )
+    def test_not_a_domino(self, pair):
+        _, graph, _, _ = built("2x2")
+        with pytest.raises(NotADomino) as err:
+            validate_tiling(graph, [pair, ((1, 0), (0, 1))])
+        assert isinstance(err.value, TilerError)
 
 
 class TestHeightBijection:
