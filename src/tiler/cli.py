@@ -15,7 +15,7 @@ from .components import forced_components
 from .equilibrium import verify_equilibrium
 from .errors import ParseError, TilerError, Untileable
 from .flips import flip_distance, flip_path, local_flip_connected, local_flip_count
-from .generation import count_tilings, enumerate_tilings, sample_uniform
+from .generation import _draw_sample, _prepare_sampler, count_tilings, enumerate_tilings
 from .lattice import max_tiling, min_tiling, minimal_height
 from .oracle import brute_enumerate
 from .render import JSON_FORMAT, dominoes_from_json, render_tiling, tiling_to_json
@@ -103,8 +103,9 @@ def _cmd_enum(args):
 
 def _cmd_sample(args):
     figure, graph, _, weights = pipeline(_read(args.figure))
+    prepared = _prepare_sampler(graph, weights)
     samples = [
-        (seed, sample_uniform(graph, weights, seed))
+        (seed, _draw_sample(graph, weights, prepared, seed))
         for seed in range(args.seed, args.seed + args.n)
     ]
     if args.json:

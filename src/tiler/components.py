@@ -85,7 +85,7 @@ class ComponentGraph:
     representatives: tuple
     infinity: int
     quotient_edges: dict  # (i, j) with i < j -> representative arc from i to j
-    neighbors: tuple  # per component i: an arc per quotient edge at i, out of i
+    neighbors: tuple  # per component i: (tail, head, t) per quotient edge at i, tail in i
 
 
 def forced_components(graph: FigureGraph, weights: ArcWeights, tiling: Tiling) -> ComponentGraph:
@@ -117,9 +117,10 @@ def forced_components(graph: FigureGraph, weights: ArcWeights, tiling: Tiling) -
         if key not in quotient_edges:
             quotient_edges[key] = (u, v) if i < j else (v, u)
     neighbors = [[] for _ in comps]
+    t = weights.t
     for (i, j), (u, v) in quotient_edges.items():
-        neighbors[i].append((u, v))
-        neighbors[j].append((v, u))
+        neighbors[i].append((u, v, t[(u, v)]))
+        neighbors[j].append((v, u, t[(v, u)]))
     return ComponentGraph(
         graph=graph,
         components=tuple(comps),

@@ -30,8 +30,8 @@ def component_status(cg: ComponentGraph, weights: ArcWeights, h: dict, i: int):
     """(has_incoming, has_outgoing) for component i in the orientation
     induced by the heights h."""
     has_in = has_out = False
-    for tail, head in cg.neighbors[i]:
-        if h[head] - h[tail] == weights.t[(tail, head)]:
+    for tail, head, t in cg.neighbors[i]:
+        if h[head] - h[tail] == t:
             has_out = True
         else:
             has_in = True
@@ -54,15 +54,21 @@ def available_flips(cg: ComponentGraph, weights: ArcWeights, hf: HeightFunction)
 
 
 def try_flip_inplace(cg: ComponentGraph, weights: ArcWeights, h: dict, i: int, direction: str) -> bool:
-    """Apply the flip to a raw height dict if available; no-op otherwise."""
-    has_in, has_out = component_status(cg, weights, h, i)
+    """Apply the flip to a raw height dict if available; no-op otherwise.
+
+    One pass over the component's quotient arcs, stopping at the first that
+    blocks: an incoming arc (difference below t) blocks an up-flip, an
+    outgoing one (difference t) a down-flip.
+    """
     if direction == UP:
-        if has_in:
-            return False
+        for tail, head, t in cg.neighbors[i]:
+            if h[head] - h[tail] != t:
+                return False
         shift = 4
     else:
-        if has_out:
-            return False
+        for tail, head, t in cg.neighbors[i]:
+            if h[head] - h[tail] == t:
+                return False
         shift = -4
     for v in cg.components[i]:
         h[v] += shift

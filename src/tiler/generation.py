@@ -94,22 +94,30 @@ def plan_update(seed: int, when: int, q: int):
     return (u >> 1) % q, UP if u & 1 else DOWN
 
 
-def sample_uniform(graph: FigureGraph, weights: ArcWeights, seed: int):
-    """Exact uniform sample via twin chains from the lattice's minimum and
-    maximum over doubling update windows.
-
-    After each update the lower chain must stay below the upper one; only
-    the updated component moved, so only its vertices are checked.
-    """
+def _prepare_sampler(graph: FigureGraph, weights: ArcWeights):
+    """What every sample of a figure shares: (min heights, max heights,
+    forced components, component order); the last two are None when the
+    figure has a single tiling."""
     try:
         hmin, _ = minimal_height(graph, weights)
     except Untileable as exc:
         raise NotTileable(str(exc)) from exc
     hmax, _ = maximal_height(graph, weights)
     if hmin.h == hmax.h:
-        return tiling_of_height(graph, weights, hmin)
+        return hmin, hmax, None, None
     cg = forced_components(graph, weights, tiling_of_height(graph, weights, hmin))
-    order = component_order(cg)
+    return hmin, hmax, cg, component_order(cg)
+
+
+def _draw_sample(graph: FigureGraph, weights: ArcWeights, prepared, seed: int):
+    """The CFTP sample of one seed from `_prepare_sampler`'s result.
+
+    After each update the lower chain must stay below the upper one; only
+    the updated component moved, so only its vertices are checked.
+    """
+    hmin, hmax, cg, order = prepared
+    if cg is None:
+        return tiling_of_height(graph, weights, hmin)
     q = len(order)
     window = 1
     while window <= WINDOW_CAP:
@@ -120,9 +128,18 @@ def sample_uniform(graph: FigureGraph, weights: ArcWeights, seed: int):
             comp = order[pos]
             try_flip_inplace(cg, weights, lo, comp, direction)
             try_flip_inplace(cg, weights, hi, comp, direction)
-            if any(lo[v] > hi[v] for v in cg.components[comp]):
-                raise AssertionError("CFTP sandwich property violated")
+            for v in cg.components[comp]:
+                if lo[v] > hi[v]:
+                    raise AssertionError("CFTP sandwich property violated")
         if lo == hi:
             return tiling_of_height(graph, weights, HeightFunction(graph, lo))
         window *= 2
     raise AssertionError("CFTP failed to coalesce within the window cap")
+
+
+def sample_uniform(graph: FigureGraph, weights: ArcWeights, seed: int):
+    """Exact uniform sample via twin chains from the lattice's minimum and
+    maximum over doubling update windows.  `tiler sample -n K` prepares
+    once and draws K times; each draw returns what this call returns.
+    """
+    return _draw_sample(graph, weights, _prepare_sampler(graph, weights), seed)

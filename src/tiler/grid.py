@@ -163,6 +163,9 @@ class FigureGraph:
     outer_contour: Cycle  # counterclockwise around the figure, from w0
     _dup: dict = field(repr=False)  # pinch point -> "NE/SW" or "NW/SE"
     _comp_of_cell: dict = field(repr=False)
+    # Interned central axes, filled by `tiling.validate_tiling`, so every
+    # Tiling of the figure shares one tuple per cell side.
+    sides: dict = field(default_factory=dict, compare=False, repr=False)
 
     def vertex(self, p, d) -> GridVertex:
         """Vertex copy at lattice point p attached to the edge leaving in

@@ -86,14 +86,20 @@ def same_figure(h1: HeightFunction, h2: HeightFunction) -> bool:
 
 
 def validate_tiling(graph: FigureGraph, dominoes) -> Tiling:
-    """Check that the cell pairs exactly cover the figure."""
+    """Check that the cell pairs exactly cover the figure.
+
+    Each axis is interned in `graph.sides`, so the tilings of one figure
+    share their axis tuples.
+    """
     covered = set()
     axes = set()
+    sides = graph.sides
     for c1, c2 in dominoes:
         c1, c2 = Cell(*c1), Cell(*c2)
         if c1 not in graph.figure or c2 not in graph.figure:
             raise DominoOutsideFigure(f"domino {(c1, c2)} leaves the figure")
-        axes.add(domino_axis(c1, c2))
+        axis = domino_axis(c1, c2)
+        axes.add(sides.setdefault(axis, axis))
         for c in (c1, c2):
             if c in covered:
                 raise Overlap(f"cell {c} covered twice")

@@ -8,16 +8,21 @@ Its work equals the total height displacement, so it is slow on large
 figures; the tests run it on small ones only.  With `pinned` vertices frozen
 as well it also gives the lexicographic successors that enumeration reaches
 by flips.
+
+`reference_sample` is the coupling-from-the-past loop as `sample_uniform`
+ran it before the one-pass flip test: each chain asks `component_status`
+whether the component may move, and the sandwich is checked with `any`.
 """
 
 from collections import deque
 
+from tiler import generation
 from tiler.components import forced_components
 from tiler.errors import Untileable
-from tiler.flips import component_status
-from tiler.generation import component_order, enumerate_tilings
-from tiler.lattice import _boundary_heights, _tree_sums
-from tiler.tiling import HeightFunction, height_of_tiling
+from tiler.flips import DOWN, UP, component_status, try_flip_inplace
+from tiler.generation import component_order, enumerate_tilings, plan_update
+from tiler.lattice import _boundary_heights, _tree_sums, maximal_height, minimal_height
+from tiler.tiling import HeightFunction, height_of_tiling, tiling_of_height
 
 
 def stepwise_extremal_height(graph, weights, sign, pinned=None):
@@ -104,3 +109,80 @@ def assert_successors_match_stepwise(graph, weights):
     order = component_order(cg)
     for h, successor in zip(heights, heights[1:] + [None]):
         assert stepwise_successor(graph, weights, cg, order, h) == successor
+
+
+def _status_flip(cg, weights, h, i, direction):
+    """The flip as decided from `component_status`; True if it applied."""
+    has_in, has_out = component_status(cg, weights, h, i)
+    if has_in if direction == UP else has_out:
+        return False
+    shift = 4 if direction == UP else -4
+    for v in cg.components[i]:
+        h[v] += shift
+    return True
+
+
+def reference_sample(graph, weights, seed):
+    """(tiling, number of plan_update calls) of the reference CFTP loop."""
+    hmin, _ = minimal_height(graph, weights)
+    hmax, _ = maximal_height(graph, weights)
+    if hmin.h == hmax.h:
+        return tiling_of_height(graph, weights, hmin), 0
+    cg = forced_components(graph, weights, tiling_of_height(graph, weights, hmin))
+    order = component_order(cg)
+    updates = 0
+    window = 1
+    while True:
+        lo = dict(hmin.h)
+        hi = dict(hmax.h)
+        for when in range(window, 0, -1):
+            pos, direction = plan_update(seed, when, len(order))
+            updates += 1
+            comp = order[pos]
+            _status_flip(cg, weights, lo, comp, direction)
+            _status_flip(cg, weights, hi, comp, direction)
+            if any(lo[v] > hi[v] for v in cg.components[comp]):
+                raise AssertionError("CFTP sandwich property violated")
+        if lo == hi:
+            return tiling_of_height(graph, weights, HeightFunction(graph, lo)), updates
+        window *= 2
+
+
+def assert_samples_match_reference(graph, weights, seeds):
+    """sample_uniform against reference_sample: for every seed, the same
+    tiling from as many plan_update calls."""
+    calls = []
+    original = generation.plan_update
+
+    def counting(seed, when, q):
+        calls.append(when)
+        return original(seed, when, q)
+
+    generation.plan_update = counting
+    try:
+        for seed in seeds:
+            calls.clear()
+            tiling = generation.sample_uniform(graph, weights, seed)
+            assert (tiling, len(calls)) == reference_sample(graph, weights, seed)
+    finally:
+        generation.plan_update = original
+
+
+def assert_flips_match_status(graph, weights):
+    """On every tiling and every component, in both directions,
+    try_flip_inplace applies exactly the flips component_status allows,
+    moves that component by 4, and leaves h untouched when it refuses."""
+    tilings = list(enumerate_tilings(graph, weights))
+    if not tilings:
+        return
+    cg = forced_components(graph, weights, tilings[0])
+    for tiling in tilings:
+        h = height_of_tiling(graph, weights, tiling).h
+        for i in range(len(cg.components)):
+            for direction in (UP, DOWN):
+                expected = dict(h)
+                allowed = _status_flip(cg, weights, expected, i, direction)
+                got = dict(h)
+                assert try_flip_inplace(cg, weights, got, i, direction) == allowed
+                assert got == expected
+                assert (got == h) != allowed

@@ -13,7 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tiler
+from tiler import generation
 from tiler.cli import main
+from tiler.generation import sample_uniform
+from tiler.lattice import minimal_height
+from tiler.render import render_tiling, tiling_to_json
 
 from .conftest import CORPUS
 
@@ -97,6 +101,30 @@ class TestSample:
         _, out2, _ = run(capsys, "sample", path, "--seed", "3", "-n", "4", "--json")
         assert out1 == out2
         assert len(json.loads(out1)["samples"]) == 4
+
+    @pytest.mark.parametrize("as_json", [True, False], ids=["json", "text"])
+    def test_prepares_once(self, capsys, fig_file, monkeypatch, as_json):
+        # One min, max and components per figure; the same tilings as five
+        # separate sample_uniform calls.
+        calls = []
+
+        def recording(graph, weights):
+            calls.append(graph)
+            return minimal_height(graph, weights)
+
+        monkeypatch.setattr(generation, "minimal_height", recording)
+        flag = ["--json"] if as_json else []
+        code, out, _ = run(capsys, "sample", fig_file("4x4"), "--seed", "3", "-n", "5", *flag)
+        assert code == 0
+        assert len(calls) == 1
+        figure, graph, _, weights = tiler.pipeline(CORPUS["4x4"])
+        tilings = [sample_uniform(graph, weights, seed) for seed in range(3, 8)]
+        if as_json:
+            assert [s["dominoes"] for s in json.loads(out)["samples"]] == [
+                tiling_to_json(t)["dominoes"] for t in tilings
+            ]
+        else:
+            assert out == "".join(render_tiling(figure, t) + "\n\n" for t in tilings)
 
     def test_seed_required(self, capsys, fig_file):
         with pytest.raises(SystemExit) as exc:

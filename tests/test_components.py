@@ -86,16 +86,18 @@ class TestForcedComponents:
 
     def test_neighbors(self, corpus_name):
         # Each quotient edge is listed once at each of its two components,
-        # oriented out of that component.
+        # oriented out of that component, with the t of that arc.
         if COUNTS.get(corpus_name) == 0:
             pytest.skip("untileable figure")
+        _, _, _, weights = built(corpus_name)
         cg = components_of(corpus_name)
         for i, arcs in enumerate(cg.neighbors):
-            for u, v in arcs:
+            for u, v, t in arcs:
                 assert cg.comp_of[u] == i != cg.comp_of[v]
-        for (i, j), arc in cg.quotient_edges.items():
-            assert cg.neighbors[i].count(arc) == 1
-            assert cg.neighbors[j].count((arc[1], arc[0])) == 1
+                assert t == weights.t[(u, v)]
+        for (i, j), (u, v) in cg.quotient_edges.items():
+            assert [a[:2] for a in cg.neighbors[i]].count((u, v)) == 1
+            assert [a[:2] for a in cg.neighbors[j]].count((v, u)) == 1
         assert sum(map(len, cg.neighbors)) == 2 * len(cg.quotient_edges)
 
     def test_representatives_minimal(self, enumerable_name):

@@ -24,6 +24,7 @@ from tiler.oracle import bfs_distance, generalized_flip_adjacency
 from tiler.tiling import height_of_tiling, tiling_of_height
 
 from .conftest import COUNTS, ENUMERABLE, built
+from .stepwise import assert_flips_match_status
 
 
 def setting(name):
@@ -66,6 +67,10 @@ class TestAvailability:
                 shift = 4 if flip.direction == UP else -4
                 assert all(out.h[v] - h.h[v] == shift for v in moved)
                 tiling_of_height(graph, weights, out)  # stays valid
+
+    def test_try_flip_matches_status(self, enumerable_name):
+        _, graph, _, weights = built(enumerable_name)
+        assert_flips_match_status(graph, weights)
 
     def test_not_available(self):
         graph, weights, cg, heights = setting("2x2")

@@ -26,7 +26,7 @@ from tiler.oracle import brute_enumerate
 from tiler.tiling import height_of_tiling
 
 from .conftest import COUNTS, built
-from .stepwise import assert_successors_match_stepwise
+from .stepwise import assert_samples_match_reference, assert_successors_match_stepwise
 
 
 class TestEnumerate:
@@ -180,6 +180,12 @@ class TestSampleUniform:
         _, graph, _, weights = built("3x4")
         with pytest.raises(AssertionError, match="CFTP sandwich property violated"):
             sample_uniform(graph, weights, 0)
+
+    def test_matches_reference(self, corpus_name):
+        if COUNTS.get(corpus_name) == 0:
+            pytest.skip("untileable figure")
+        _, graph, _, weights = built(corpus_name)
+        assert_samples_match_reference(graph, weights, range(50))
 
     def test_8x8_runs(self):
         _, graph, _, weights = built("8x8-two-holes")

@@ -13,7 +13,13 @@ from tiler.lattice import compare, maximal_height, minimal_height, OrderRelation
 from tiler.oracle import brute_enumerate
 from tiler.tiling import height_of_tiling, tiling_of_height
 
-from .stepwise import assert_successors_match_stepwise, outcome, stepwise_extremal_height
+from .stepwise import (
+    assert_flips_match_status,
+    assert_samples_match_reference,
+    assert_successors_match_stepwise,
+    outcome,
+    stepwise_extremal_height,
+)
 
 
 @st.composite
@@ -83,6 +89,31 @@ def masked_figures(draw, max_cells=49):
         return parse_figure(text)
     except ParseError:
         assume(False)
+
+
+@st.composite
+def tileable_masks(draw, max_dominoes=12, side=5):
+    """A 4-connected figure in a side x side box grown one domino at a time,
+    each touching the figure so far: the dominoes tile it, so it is
+    tileable by construction.  Holes and pinch points arise as it grows."""
+    x, y = draw(st.integers(0, side - 2)), draw(st.integers(0, side - 1))
+    cells = {Cell(x, y), Cell(x + 1, y)}
+    if draw(st.booleans()):
+        cells = {Cell(y, x), Cell(y, x + 1)}
+
+    def empty_neighbours(c):
+        for dx, dy in ((0, 1), (0, -1), (1, 0), (-1, 0)):
+            d = Cell(c.x + dx, c.y + dy)
+            if d not in cells and 0 <= d.x < side and 0 <= d.y < side:
+                yield d
+
+    for _ in range(draw(st.integers(1, max_dominoes - 1))):
+        free = {d for c in cells for d in empty_neighbours(c)}
+        dominoes = sorted({tuple(sorted((c, d))) for c in free for d in empty_neighbours(c)})
+        if not dominoes:
+            break
+        cells.update(draw(st.sampled_from(dominoes)))
+    return make_figure(cells)
 
 
 def cell_sides(cell):
@@ -160,6 +191,33 @@ def test_successors_match_stepwise(figure):
     """Each successor reached by flips is the pinned ±4 minimum."""
     _, graph, _, weights = pipeline_from_cells(figure.cells)
     assert_successors_match_stepwise(graph, weights)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tileable_masks())
+def test_count_matches_oracle_tileable(figure):
+    """test_count_matches_oracle on figures that always tile."""
+    _, graph, _, weights = pipeline_from_cells(figure.cells)
+    assert count_tilings(graph, weights) == len(brute_enumerate(figure))
+
+
+@settings(max_examples=200, deadline=None)
+@given(tileable_masks())
+def test_successors_match_stepwise_tileable(figure):
+    """test_successors_match_stepwise on figures that always tile."""
+    _, graph, _, weights = pipeline_from_cells(figure.cells)
+    assert_successors_match_stepwise(graph, weights)
+
+
+@settings(max_examples=100, deadline=None)
+@given(tileable_masks())
+def test_sampler_matches_reference(figure):
+    """The one-pass flip test against component_status on every tiling, and
+    sample_uniform against the reference CFTP loop for seeds 0-49: the same
+    tilings from the same update streams."""
+    _, graph, _, weights = pipeline_from_cells(figure.cells)
+    assert_flips_match_status(graph, weights)
+    assert_samples_match_reference(graph, weights, range(50))
 
 
 def pipeline_from_cells(cells):

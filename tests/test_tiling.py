@@ -14,8 +14,10 @@ from tiler.errors import (
     TilerError,
 )
 from tiler.generation import enumerate_tilings
+from tiler.grid import build_graph
 from tiler.tiling import (
     HeightFunction,
+    Tiling,
     axis_cells,
     domino_axis,
     height_of_tiling,
@@ -70,6 +72,41 @@ class TestValidateTiling:
         with pytest.raises(NotADomino) as err:
             validate_tiling(graph, [pair, ((1, 0), (0, 1))])
         assert isinstance(err.value, TilerError)
+
+
+class TestSharedSides:
+    """validate_tiling interns axes in graph.sides, so every tiling of a
+    figure holds the same tuple for the same cell side."""
+
+    def test_validations_share_axes(self, enumerable_name):
+        _, graph, _, weights = built(enumerable_name)
+        for tiling in enumerate_tilings(graph, weights):
+            again = validate_tiling(graph, tiling.dominoes)
+            decoded = tiling_of_height(
+                graph, weights, height_of_tiling(graph, weights, again)
+            )
+            held = {a: a for a in tiling.axes}
+            for other in (again, decoded):
+                assert all(held[a] is a for a in other.axes)
+            assert all(graph.sides[a] is a for a in tiling.axes)
+
+    def test_equal_to_fresh_tuples(self, enumerable_name):
+        _, graph, _, weights = built(enumerable_name)
+        for tiling in enumerate_tilings(graph, weights):
+            fresh = Tiling(
+                frozenset(tuple(tuple(list(p)) for p in a) for a in tiling.axes)
+            )
+            assert not any(graph.sides.get(a) is a for a in fresh.axes)
+            assert fresh == tiling
+            assert hash(fresh) == hash(tiling)
+
+    def test_graph_equality_ignores_sides(self):
+        figure, graph, _, weights = built("4x4")
+        list(enumerate_tilings(graph, weights))
+        fresh = build_graph(figure)
+        assert graph.sides and not fresh.sides
+        assert fresh == graph
+        assert repr(fresh) == repr(graph)
 
 
 class TestHeightBijection:
