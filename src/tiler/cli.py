@@ -11,7 +11,7 @@ import json
 import sys
 
 from . import pipeline
-from .components import forced_components
+from .components import forced_components, quotient_edges
 from .equilibrium import verify_equilibrium
 from .errors import ParseError, TilerError, Untileable
 from .flips import flip_distance, flip_path, local_flip_connected, local_flip_count
@@ -49,8 +49,7 @@ def _emit_tiling(figure, tiling, as_json):
         print(render_tiling(figure, tiling))
 
 
-def _cmd_check(args):
-    figure, graph, eqfn, weights = pipeline(_read(args.figure))
+def _cmd_check(args, figure, graph, eqfn, weights):
     tileable = True
     try:
         min_tiling(graph, weights)
@@ -72,22 +71,19 @@ def _cmd_check(args):
     return 0 if tileable else 1
 
 
-def _cmd_extreme(args, which):
-    figure, graph, _, weights = pipeline(_read(args.figure))
-    tiling = min_tiling(graph, weights) if which == "min" else max_tiling(graph, weights)
+def _cmd_extreme(args, figure, graph, eqfn, weights):
+    tiling = min_tiling(graph, weights) if args.verb == "min" else max_tiling(graph, weights)
     _emit_tiling(figure, tiling, args.json)
     return 0
 
 
-def _cmd_count(args):
-    _, graph, _, weights = pipeline(_read(args.figure))
+def _cmd_count(args, figure, graph, eqfn, weights):
     n = count_tilings(graph, weights)
     print(json.dumps({"format": JSON_FORMAT, "count": n}) if args.json else n)
     return 0
 
 
-def _cmd_enum(args):
-    figure, graph, _, weights = pipeline(_read(args.figure))
+def _cmd_enum(args, figure, graph, eqfn, weights):
     stream = enumerate_tilings(graph, weights)
     if args.limit is not None:
         stream = itertools.islice(stream, args.limit)
@@ -101,8 +97,7 @@ def _cmd_enum(args):
     return 0
 
 
-def _cmd_sample(args):
-    figure, graph, _, weights = pipeline(_read(args.figure))
+def _cmd_sample(args, figure, graph, eqfn, weights):
     prepared = _prepare_sampler(graph, weights)
     samples = [
         (seed, _draw_sample(graph, weights, prepared, seed))
@@ -121,8 +116,7 @@ def _cmd_sample(args):
     return 0
 
 
-def _cmd_dist(args):
-    _, graph, _, weights = pipeline(_read(args.figure))
+def _cmd_dist(args, figure, graph, eqfn, weights):
     heights = []
     for path in (args.t1, args.t2):
         try:
@@ -158,8 +152,7 @@ def _cmd_dist(args):
     return 0
 
 
-def _cmd_components(args):
-    _, graph, _, weights = pipeline(_read(args.figure))
+def _cmd_components(args, figure, graph, eqfn, weights):
     cg = forced_components(graph, weights, min_tiling(graph, weights))
     if args.json:
         out = {
@@ -172,7 +165,7 @@ def _cmd_components(args):
                 }
                 for i in range(len(cg.components))
             ],
-            "edges": sorted(list(key) for key in cg.quotient_edges),
+            "edges": [list(edge) for edge in quotient_edges(cg)],
         }
         print(json.dumps(out))
     else:
@@ -182,13 +175,12 @@ def _cmd_components(args):
                 f"component {i}: kind={cg.kinds[i]} "
                 f"size={len(cg.components[i])} rep={rep}"
             )
-        for i, j in sorted(cg.quotient_edges):
+        for i, j in quotient_edges(cg):
             print(f"edge: {i} -- {j}")
     return 0
 
 
-def _cmd_eq(args):
-    _, graph, eqfn, _ = pipeline(_read(args.figure))
+def _cmd_eq(args, figure, graph, eqfn, weights):
     arcs = sorted((a, v) for a, v in eqfn.values.items() if v != 0)
     if args.json:
         out = {
@@ -207,8 +199,7 @@ def _cmd_eq(args):
     return 0
 
 
-def _cmd_oracle_count(args):
-    figure, _, _, _ = pipeline(_read(args.figure))
+def _cmd_oracle_count(args, figure, graph, eqfn, weights):
     print(len(brute_enumerate(figure)))
     return 0
 
@@ -217,47 +208,36 @@ def build_parser():
     parser = argparse.ArgumentParser(prog="tiler", description=__doc__)
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def add(name, **kwargs):
+    def add(name, run, **kwargs):
         p = sub.add_parser(name, **kwargs)
         p.add_argument("figure", help="ASCII figure file ('#' and '.')")
         p.add_argument("--json", action="store_true", help="JSON output")
+        p.set_defaults(run=run)  # run(args, *pipeline(figure text))
         return p
 
-    add("check", help="figure diagnostics and tileability")
-    add("min", help="minimal tiling")
-    add("max", help="maximal tiling")
-    add("count", help="number of tilings")
-    p = add("enum", help="all tilings in lexicographic order")
+    add("check", _cmd_check, help="figure diagnostics and tileability")
+    add("min", _cmd_extreme, help="minimal tiling")
+    add("max", _cmd_extreme, help="maximal tiling")
+    add("count", _cmd_count, help="number of tilings")
+    p = add("enum", _cmd_enum, help="all tilings in lexicographic order")
     p.add_argument("--limit", type=_non_negative, default=None)
-    p = add("sample", help="exact uniform samples")
+    p = add("sample", _cmd_sample, help="exact uniform samples")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("-n", type=_non_negative, default=1)
-    p = add("dist", help="flip distance between two tilings")
+    p = add("dist", _cmd_dist, help="flip distance between two tilings")
     p.add_argument("t1", help="tiling JSON file")
     p.add_argument("t2", help="tiling JSON file")
     p.add_argument("--path", action="store_true", help="print a flip sequence")
-    add("components", help="forced components and quotient arcs")
-    add("eq", help="equilibrium step values and nonzero arcs")
-    add("oracle-count", help="brute-force tiling count (debug)")
+    add("components", _cmd_components, help="forced components and quotient arcs")
+    add("eq", _cmd_eq, help="equilibrium step values and nonzero arcs")
+    add("oracle-count", _cmd_oracle_count, help="brute-force tiling count (debug)")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    handlers = {
-        "check": _cmd_check,
-        "min": lambda a: _cmd_extreme(a, "min"),
-        "max": lambda a: _cmd_extreme(a, "max"),
-        "count": _cmd_count,
-        "enum": _cmd_enum,
-        "sample": _cmd_sample,
-        "dist": _cmd_dist,
-        "components": _cmd_components,
-        "eq": _cmd_eq,
-        "oracle-count": _cmd_oracle_count,
-    }
     try:
-        return handlers[args.verb](args)
+        return args.run(args, *pipeline(_read(args.figure)))
     except Untileable:
         print("untileable", file=sys.stderr)
         return 1

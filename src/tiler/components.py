@@ -84,8 +84,9 @@ class ComponentGraph:
     kinds: tuple
     representatives: tuple
     infinity: int
-    quotient_edges: dict  # (i, j) with i < j -> representative arc from i to j
-    neighbors: tuple  # per component i: (tail, head, t) per quotient edge at i, tail in i
+    # The quotient graph: per component i, (tail, head, t) per quotient edge
+    # at i, tail in i, on the first figure arc met between the two components.
+    neighbors: tuple
 
 
 def forced_components(graph: FigureGraph, weights: ArcWeights, tiling: Tiling) -> ComponentGraph:
@@ -107,20 +108,20 @@ def forced_components(graph: FigureGraph, weights: ArcWeights, tiling: Tiling) -
         else:
             assert len(c) == 1, "unexpected multi-vertex non-hole component"
             kinds.append(SINGLE)
-    quotient_edges = {}
+    neighbors = [[] for _ in comps]
+    seen = set()
+    t = weights.t
     for u, v in graph.arcs:
         i, j = comp_of[u], comp_of[v]
         if i == j:
             continue
         assert (u, v) not in graph.boundary_arcs, "boundary arc between components"
-        key = (min(i, j), max(i, j))
-        if key not in quotient_edges:
-            quotient_edges[key] = (u, v) if i < j else (v, u)
-    neighbors = [[] for _ in comps]
-    t = weights.t
-    for (i, j), (u, v) in quotient_edges.items():
-        neighbors[i].append((u, v, t[(u, v)]))
-        neighbors[j].append((v, u, t[(v, u)]))
+        if i > j:
+            i, j, u, v = j, i, v, u
+        if (i, j) not in seen:
+            seen.add((i, j))
+            neighbors[i].append((u, v, t[(u, v)]))
+            neighbors[j].append((v, u, t[(v, u)]))
     return ComponentGraph(
         graph=graph,
         components=tuple(comps),
@@ -128,9 +129,14 @@ def forced_components(graph: FigureGraph, weights: ArcWeights, tiling: Tiling) -
         kinds=tuple(kinds),
         representatives=tuple(min(c) for c in comps),
         infinity=infinity,
-        quotient_edges=quotient_edges,
         neighbors=tuple(map(tuple, neighbors)),
     )
+
+
+def quotient_edges(cg: ComponentGraph) -> list:
+    """The quotient graph's edges (i, j), i < j, in increasing order."""
+    pairs = ((i, cg.comp_of[v]) for i, arcs in enumerate(cg.neighbors) for _, v, _ in arcs)
+    return sorted((i, j) for i, j in pairs if i < j)
 
 
 def _check_cycle(graph: FigureGraph, cycle):
@@ -168,19 +174,21 @@ class Orientation:
     arcs: frozenset  # ordered component index pairs
 
 
-def edge_direction(cg: ComponentGraph, weights: ArcWeights, h: dict, key):
-    """Orientation of quotient edge key = (i, j), i < j, under heights h."""
-    arc = cg.quotient_edges[key]
-    d = h[arc[1]] - h[arc[0]]
-    if d == weights.t[arc]:
-        return key
-    assert d == weights.b[arc], "arc difference outside {b, t}"
-    return (key[1], key[0])
+def edge_direction(cg: ComponentGraph, weights: ArcWeights, h: dict, arc):
+    """Orientation (i, j) of the quotient edge of triple arc = (u, v, t)."""
+    u, v, t = arc
+    i, j = cg.comp_of[u], cg.comp_of[v]
+    d = h[v] - h[u]
+    if d == t:
+        return (i, j)
+    assert d == weights.b[(u, v)], "arc difference outside {b, t}"
+    return (j, i)
 
 
 def to_orientation(cg: ComponentGraph, weights: ArcWeights, hf: HeightFunction) -> Orientation:
+    # Both triples of an edge give its orientation, since t(u, v) = -b(v, u).
     arcs = frozenset(
-        edge_direction(cg, weights, hf.h, key) for key in cg.quotient_edges
+        edge_direction(cg, weights, hf.h, arc) for arcs in cg.neighbors for arc in arcs
     )
     # Quotients of tiling graphs are acyclic; verify by topological sort.
     out = [[] for _ in cg.components]

@@ -157,7 +157,6 @@ class FigureGraph:
     arcs: frozenset
     adjacency: dict
     boundary_arcs: frozenset
-    outer_boundary_arcs: frozenset
     holes: list
     w0: GridVertex
     outer_contour: Cycle  # counterclockwise around the figure, from w0
@@ -319,9 +318,6 @@ def build_graph(figure: Figure) -> FigureGraph:
 
     outer = contours[None]
     w0 = min(outer)
-    outer_boundary_arcs = frozenset(
-        a for u, v in zip(outer, outer[1:]) for a in ((u, v), (v, u))
-    )
 
     holes = []
     for hid, hcells in enumerate(hole_cells):
@@ -336,7 +332,6 @@ def build_graph(figure: Figure) -> FigureGraph:
         arcs=frozenset(arcs),
         adjacency=adjacency,
         boundary_arcs=frozenset(boundary_arcs),
-        outer_boundary_arcs=outer_boundary_arcs,
         holes=holes,
         w0=w0,
         outer_contour=rotate(outer, w0),

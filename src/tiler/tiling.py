@@ -76,7 +76,7 @@ class HeightFunction:
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, HeightFunction)
-            and self.graph.figure.cells == other.graph.figure.cells
+            and same_figure(self, other)
             and self.h == other.h
         )
 

@@ -15,11 +15,12 @@ from hypothesis import strategies as st
 import tiler
 from tiler import generation
 from tiler.cli import main
+from tiler.components import forced_components
 from tiler.generation import sample_uniform
-from tiler.lattice import minimal_height
+from tiler.lattice import min_tiling, minimal_height
 from tiler.render import render_tiling, tiling_to_json
 
-from .conftest import CORPUS
+from .conftest import CORPUS, COUNTS
 
 
 @pytest.fixture
@@ -168,6 +169,27 @@ class TestDiagnostics:
         result = json.loads(out)
         kinds = sorted(c["kind"] for c in result["components"])
         assert kinds == ["hole", "infinity"]
+
+    def test_components_edges(self, capsys, fig_file, corpus_name):
+        # The quotient edges, JSON and text, are the component pairs that
+        # some figure arc joins.
+        if COUNTS.get(corpus_name) == 0:
+            pytest.skip("untileable figure")
+        _, graph, _, weights = tiler.pipeline(CORPUS[corpus_name])
+        cg = forced_components(graph, weights, min_tiling(graph, weights))
+        pairs = sorted(
+            {
+                (min(i, j), max(i, j))
+                for i, j in ((cg.comp_of[u], cg.comp_of[v]) for u, v in graph.arcs)
+                if i != j
+            }
+        )
+        path = fig_file(corpus_name)
+        _, out, _ = run(capsys, "components", path, "--json")
+        assert json.loads(out)["edges"] == [list(p) for p in pairs]
+        _, out, _ = run(capsys, "components", path)
+        edges = [line for line in out.splitlines() if line.startswith("edge:")]
+        assert edges == [f"edge: {i} -- {j}" for i, j in pairs]
 
     def test_eq(self, capsys, fig_file):
         _, out, _ = run(capsys, "eq", fig_file("3x3-ring"), "--json")

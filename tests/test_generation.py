@@ -4,6 +4,7 @@ sampling."""
 import collections
 import hashlib
 import itertools
+import json
 import os
 import subprocess
 import sys
@@ -25,7 +26,7 @@ from tiler.lattice import max_tiling, min_tiling, minimal_height
 from tiler.oracle import brute_enumerate
 from tiler.tiling import height_of_tiling
 
-from .conftest import COUNTS, built
+from .conftest import CORPUS, COUNTS, built
 from .stepwise import assert_samples_match_reference, assert_successors_match_stepwise
 
 
@@ -116,6 +117,32 @@ class TestBlake2b:
             env={**os.environ, "PYTHONPATH": path},
         )
         assert out.stdout.strip() == "False"
+
+    def test_standard_library_only(self):
+        # `-S` keeps site-packages start-up hooks out of the child, so every
+        # module it loads comes from tiler or from the standard library.
+        src = os.path.dirname(os.path.dirname(tiler.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        code = (
+            "import json, sys, tiler, tiler.cli\n"
+            "_, graph, _, weights = tiler.pipeline(sys.argv[1])\n"
+            "tiler.count_tilings(graph, weights)\n"
+            "list(tiler.enumerate_tilings(graph, weights))\n"
+            "tiler.sample_uniform(graph, weights, 0)\n"
+            "print(json.dumps(sorted(\n"
+            "    name for name in sys.modules\n"
+            "    if name != '__main__' and name.split('.')[0] != 'tiler'\n"
+            "    and name.split('.')[0] not in sys.stdlib_module_names\n"
+            ")))\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-S", "-c", code, CORPUS["4x4-minus-2x2"]],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert json.loads(out.stdout) == []
 
 
 class TestSampleUniform:

@@ -8,6 +8,7 @@ from tiler.equilibrium import make_weights
 from tiler.errors import (
     DominoOutsideFigure,
     Gap,
+    InconsistentCycle,
     NotADomino,
     NotAHeightFunction,
     Overlap,
@@ -15,6 +16,7 @@ from tiler.errors import (
 )
 from tiler.generation import enumerate_tilings
 from tiler.grid import build_graph
+from tiler.lattice import min_tiling
 from tiler.tiling import (
     HeightFunction,
     Tiling,
@@ -131,6 +133,21 @@ class TestHeightBijection:
         seen = [tuple(sorted(h.h.items())) for h in heights]
         assert len(set(seen)) == len(seen)
 
+    @pytest.mark.parametrize("edit", ["minus-axis", "plus-boundary-side", "empty"])
+    def test_inconsistent_cycle(self, edit):
+        # Axis sets that are not tilings, built directly and so never
+        # validated: g_T sums to a nonzero value around some cycle.
+        _, graph, _, weights = built("4x4")
+        axes = min_tiling(graph, weights).axes
+        if edit == "minus-axis":
+            axes = axes - {min(axes)}
+        elif edit == "plus-boundary-side":
+            axes = axes | {((0, 0), (1, 0))}
+        else:
+            axes = frozenset()
+        with pytest.raises(InconsistentCycle):
+            height_of_tiling(graph, weights, Tiling(axes=axes))
+
 
 class TestHeightInvariants:
     def test_mod4(self, enumerable_name):
@@ -147,8 +164,8 @@ class TestHeightInvariants:
             # agree outright along the outer contour (anchored at w0).
             for u, v in graph.boundary_arcs:
                 assert h.h[v] - h.h[u] == heights[0].h[v] - heights[0].h[u]
-            for u, v in graph.outer_boundary_arcs:
-                assert h.h[u] == heights[0].h[u]
+            for v in graph.outer_contour:
+                assert h.h[v] == heights[0].h[v]
 
     def test_difference_steps(self, enumerable_name):
         _, graph, _, _ = built(enumerable_name)
