@@ -1,6 +1,6 @@
 """Command-line front-end: `tiler VERB FILE [options]`.
 
-Exit codes: 0 success, 1 untileable, 2 usage or parse errors.
+Exit codes: 0 success, 1 untileable, 2 usage, parse or resource errors.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ def _emit_tiling(figure, tiling, as_json):
 def _cmd_check(args, figure, graph, eqfn, weights):
     tileable = True
     try:
-        min_tiling(graph, weights)
+        minimal_height(graph, weights)
     except Untileable:
         tileable = False
     info = {
@@ -243,6 +243,10 @@ def main(argv=None) -> int:
         return 1
     except (TilerError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError as exc:
+        # The cut-line equilibrium recurses once per hole of a nested chain.
+        print(f"error: chain of nested holes too deep ({exc})", file=sys.stderr)
         return 2
 
 

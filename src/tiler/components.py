@@ -26,51 +26,47 @@ def tiling_graph(graph: FigureGraph, weights: ArcWeights, tiling: Tiling) -> fro
     return frozenset(a for a in graph.arcs if g[a] == weights.t[a])
 
 
-def _strongly_connected_components(vertices, out):
-    """Iterative Tarjan; components are returned as lists of vertices."""
-    index = {}
-    low = {}
-    onstack = set()
-    stack = []
-    comps = []
-    counter = 0
-    for root in vertices:
-        if root in index:
+def _strongly_connected_components(vertices, arcs):
+    """Kosaraju: the strong components of the digraph (vertices, arcs), as
+    lists of vertices.  Both passes are iterative."""
+    out = {v: [] for v in vertices}
+    into = {v: [] for v in vertices}
+    for u, v in arcs:
+        out[u].append(v)
+        into[v].append(u)
+    # Pass 1: vertices in the order a depth-first search along out finishes them.
+    finished = []
+    seen = set()
+    for root in out:
+        if root in seen:
             continue
-        work = [(root, 0)]
-        while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                onstack.add(v)
-            recurse = False
-            succs = out.get(v, ())
-            for i in range(pi, len(succs)):
-                w = succs[i]
-                if w not in index:
-                    work[-1] = (v, i + 1)
-                    work.append((w, 0))
-                    recurse = True
+        seen.add(root)
+        stack = [(root, iter(out[root]))]
+        while stack:
+            v, succs = stack[-1]
+            for w in succs:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append((w, iter(out[w])))
                     break
-                if w in onstack:
-                    low[v] = min(low[v], index[w])
-            if recurse:
-                continue
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    onstack.discard(w)
-                    comp.append(w)
-                    if w == v:
-                        break
-                comps.append(comp)
-            work.pop()
-            if work:
-                u = work[-1][0]
-                low[u] = min(low[u], low[v])
+            else:
+                stack.pop()
+                finished.append(v)
+    # Pass 2: latest finished first, each unclaimed vertex claims what
+    # reaches it along into; that is exactly its component.
+    comps = []
+    claimed = set()
+    for root in reversed(finished):
+        if root in claimed:
+            continue
+        claimed.add(root)
+        comp = [root]
+        for v in comp:  # comp grows while it is walked
+            for u in into[v]:
+                if u not in claimed:
+                    claimed.add(u)
+                    comp.append(u)
+        comps.append(comp)
     return comps
 
 
@@ -78,7 +74,6 @@ def _strongly_connected_components(vertices, out):
 class ComponentGraph:
     """Forced components, their kinds and the quotient graph."""
 
-    graph: FigureGraph
     components: tuple  # frozensets of vertices
     comp_of: dict
     kinds: tuple
@@ -90,11 +85,7 @@ class ComponentGraph:
 
 
 def forced_components(graph: FigureGraph, weights: ArcWeights, tiling: Tiling) -> ComponentGraph:
-    gt = tiling_graph(graph, weights, tiling)
-    out = {}
-    for u, v in gt:
-        out.setdefault(u, []).append(v)
-    comps = _strongly_connected_components(sorted(graph.vertices), out)
+    comps = _strongly_connected_components(graph.vertices, tiling_graph(graph, weights, tiling))
     comps = sorted((frozenset(c) for c in comps), key=min)
     comp_of = {v: i for i, c in enumerate(comps) for v in c}
     hole_vertices = {v for h in graph.holes for v in h.clockwise_contour}
@@ -123,7 +114,6 @@ def forced_components(graph: FigureGraph, weights: ArcWeights, tiling: Tiling) -
             neighbors[i].append((u, v, t[(u, v)]))
             neighbors[j].append((v, u, t[(v, u)]))
     return ComponentGraph(
-        graph=graph,
         components=tuple(comps),
         comp_of=comp_of,
         kinds=tuple(kinds),
@@ -190,20 +180,8 @@ def to_orientation(cg: ComponentGraph, weights: ArcWeights, hf: HeightFunction) 
     arcs = frozenset(
         edge_direction(cg, weights, hf.h, arc) for arcs in cg.neighbors for arc in arcs
     )
-    # Quotients of tiling graphs are acyclic; verify by topological sort.
-    out = [[] for _ in cg.components]
-    indeg = [0] * len(cg.components)
-    for i, j in arcs:
-        out[i].append(j)
-        indeg[j] += 1
-    ready = [i for i, d in enumerate(indeg) if d == 0]
-    seen = 0
-    while ready:
-        i = ready.pop()
-        seen += 1
-        for j in out[i]:
-            indeg[j] -= 1
-            if indeg[j] == 0:
-                ready.append(j)
-    assert seen == len(cg.components), "orientation has a cycle"
+    # Quotients of tiling graphs are acyclic.  Every quotient arc joins two
+    # components, so a cycle would be a strong component of two or more.
+    n = len(cg.components)
+    assert len(_strongly_connected_components(range(n), arcs)) == n, "orientation has a cycle"
     return Orientation(arcs=arcs)

@@ -12,16 +12,27 @@ by flips.
 `reference_sample` is the coupling-from-the-past loop as `sample_uniform`
 ran it before the one-pass flip test: each chain asks `component_status`
 whether the component may move, and the sandwich is checked with `any`.
+
+`reference_forced_components` is `forced_components` as it was before the
+Kosaraju routine: out-lists of G_T, then an iterative Tarjan with lowlinks
+and an on-stack set.
 """
 
 from collections import deque
 
 from tiler import generation
-from tiler.components import forced_components
+from tiler.components import HOLE, INFINITY, SINGLE, ComponentGraph, forced_components, tiling_graph
 from tiler.errors import Untileable
 from tiler.flips import DOWN, UP, component_status, try_flip_inplace
 from tiler.generation import component_order, enumerate_tilings, plan_update
-from tiler.lattice import _boundary_heights, _tree_sums, maximal_height, minimal_height
+from tiler.lattice import (
+    _boundary_heights,
+    _tree_sums,
+    max_tiling,
+    maximal_height,
+    min_tiling,
+    minimal_height,
+)
 from tiler.tiling import HeightFunction, height_of_tiling, tiling_of_height
 
 
@@ -186,3 +197,112 @@ def assert_flips_match_status(graph, weights):
                 assert try_flip_inplace(cg, weights, got, i, direction) == allowed
                 assert got == expected
                 assert (got == h) != allowed
+
+
+def tarjan_components(vertices, out):
+    """Iterative Tarjan; components are returned as lists of vertices."""
+    index = {}
+    low = {}
+    onstack = set()
+    stack = []
+    comps = []
+    counter = 0
+    for root in vertices:
+        if root in index:
+            continue
+        work = [(root, 0)]
+        while work:
+            v, pi = work[-1]
+            if pi == 0:
+                index[v] = low[v] = counter
+                counter += 1
+                stack.append(v)
+                onstack.add(v)
+            recurse = False
+            succs = out.get(v, ())
+            for i in range(pi, len(succs)):
+                w = succs[i]
+                if w not in index:
+                    work[-1] = (v, i + 1)
+                    work.append((w, 0))
+                    recurse = True
+                    break
+                if w in onstack:
+                    low[v] = min(low[v], index[w])
+            if recurse:
+                continue
+            if low[v] == index[v]:
+                comp = []
+                while True:
+                    w = stack.pop()
+                    onstack.discard(w)
+                    comp.append(w)
+                    if w == v:
+                        break
+                comps.append(comp)
+            work.pop()
+            if work:
+                u = work[-1][0]
+                low[u] = min(low[u], low[v])
+    return comps
+
+
+def reference_forced_components(graph, weights, tiling):
+    """The ComponentGraph of forced_components, from Tarjan's components."""
+    out = {}
+    for u, v in tiling_graph(graph, weights, tiling):
+        out.setdefault(u, []).append(v)
+    comps = tarjan_components(sorted(graph.vertices), out)
+    comps = sorted((frozenset(c) for c in comps), key=min)
+    comp_of = {v: i for i, c in enumerate(comps) for v in c}
+    hole_vertices = {v for h in graph.holes for v in h.clockwise_contour}
+    infinity = comp_of[graph.w0]
+    kinds = []
+    for i, c in enumerate(comps):
+        if i == infinity:
+            kinds.append(INFINITY)
+        elif c & hole_vertices:
+            kinds.append(HOLE)
+        else:
+            assert len(c) == 1, "unexpected multi-vertex non-hole component"
+            kinds.append(SINGLE)
+    neighbors = [[] for _ in comps]
+    seen = set()
+    for u, v in graph.arcs:
+        i, j = comp_of[u], comp_of[v]
+        if i == j:
+            continue
+        if i > j:
+            i, j, u, v = j, i, v, u
+        if (i, j) not in seen:
+            seen.add((i, j))
+            neighbors[i].append((u, v, weights.t[(u, v)]))
+            neighbors[j].append((v, u, weights.t[(v, u)]))
+    return ComponentGraph(
+        components=tuple(comps),
+        comp_of=comp_of,
+        kinds=tuple(kinds),
+        representatives=tuple(min(c) for c in comps),
+        infinity=infinity,
+        neighbors=tuple(map(tuple, neighbors)),
+    )
+
+
+def assert_components_match_reference(graph, weights):
+    """forced_components against the Tarjan reference, from the minimal and
+    the maximal tiling: the same components (as sets), kinds,
+    representatives, infinity and quotient triples in order.  Nothing to
+    compare on an untileable figure."""
+    try:
+        tilings = [min_tiling(graph, weights), max_tiling(graph, weights)]
+    except Untileable:
+        return
+    for tiling in tilings:
+        cg = forced_components(graph, weights, tiling)
+        ref = reference_forced_components(graph, weights, tiling)
+        assert cg.components == ref.components
+        assert cg.comp_of == ref.comp_of
+        assert cg.kinds == ref.kinds
+        assert cg.representatives == ref.representatives
+        assert cg.infinity == ref.infinity
+        assert cg.neighbors == ref.neighbors

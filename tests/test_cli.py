@@ -317,15 +317,35 @@ def test_fuzz_exit_codes(figure, t1, t2, verb):
     assert code in (0, 1, 2)
 
 
-def test_console_script(fig_file):
-    # The child imports the same `tiler` as this process, installed or not.
+def run_child(*argv):
+    """`python -m tiler.cli ARGV` in a child that imports the same `tiler`
+    as this process, installed or not."""
     src = os.path.dirname(os.path.dirname(tiler.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    out = subprocess.run(
-        [sys.executable, "-m", "tiler.cli", "count", fig_file("2x3")],
+    return subprocess.run(
+        [sys.executable, "-m", "tiler.cli", *argv],
         capture_output=True,
         text=True,
-        check=True,
         env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def test_console_script(fig_file):
+    out = run_child("count", fig_file("2x3"))
+    assert out.returncode == 0
     assert out.stdout.strip() == "3"
+
+
+@pytest.mark.parametrize("verb", ["check", "components"])
+def test_deep_hole_chain(tmp_path, verb):
+    # 600 stacked domino holes: the cut-line equilibrium recurses once per
+    # hole of the chain and runs out of stack.  That is a resource error
+    # (exit 2, one line), not a traceback.
+    fig = tmp_path / "chain.txt"
+    fig.write_text("\n".join(["######", "#..###"] + ["######", "##..##"] * 600 + ["######"]))
+    out = run_child(verb, str(fig))
+    assert out.returncode == 2
+    assert out.stderr.startswith("error:")
+    assert "Traceback" not in out.stderr
+    assert out.stderr.count("\n") == 1
+    assert out.stdout == ""

@@ -2,7 +2,7 @@
 
 import pytest
 
-from tiler import components
+from tiler import components, pipeline
 from tiler.components import (
     HOLE,
     INFINITY,
@@ -21,6 +21,7 @@ from tiler.lattice import max_tiling, min_tiling, minimal_height
 from tiler.tiling import height_of_tiling
 
 from .conftest import COUNTS, built
+from .stepwise import assert_components_match_reference
 
 
 def components_of(name):
@@ -103,6 +104,30 @@ class TestForcedComponents:
                 assert [a[:2] for a in cg.neighbors[j]].count((v, u)) == 1
                 listed.append((i, j))
         assert sorted(listed) == sorted((i, j) for i, j in pairs if i != j)
+
+    def test_matches_reference(self, corpus_name):
+        if COUNTS.get(corpus_name) == 0:
+            pytest.skip("untileable figure")
+        _, graph, _, weights = built(corpus_name)
+        assert_components_match_reference(graph, weights)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # 36x36 square less two single-cell holes of opposite colours.
+            "\n".join(
+                "".join("." if (x, y) in {(12, 18), (23, 18)} else "#" for x in range(36))
+                for y in range(36)
+            ),
+            # 200 stacked domino holes and one more above them: the cut-line
+            # chain of the top hole runs through all the others.
+            "\n".join(["######", "#..###"] + ["######", "##..##"] * 200 + ["######"]),
+        ],
+        ids=["36x36-two-holes", "chain-200"],
+    )
+    def test_matches_reference_large(self, text):
+        _, graph, _, weights = pipeline(text)
+        assert_components_match_reference(graph, weights)
 
     def test_representatives_minimal(self, enumerable_name):
         if COUNTS[enumerable_name] == 0:

@@ -1,10 +1,12 @@
 """Randomized property tests over small generated figures."""
 
 from collections import Counter
+from graphlib import CycleError, TopologicalSorter
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from tiler.components import _strongly_connected_components
 from tiler.equilibrium import verify_equilibrium
 from tiler.errors import ParseError, Untileable
 from tiler.generation import count_tilings, enumerate_tilings
@@ -14,11 +16,13 @@ from tiler.oracle import brute_enumerate
 from tiler.tiling import height_of_tiling, tiling_of_height
 
 from .stepwise import (
+    assert_components_match_reference,
     assert_flips_match_status,
     assert_samples_match_reference,
     assert_successors_match_stepwise,
     outcome,
     stepwise_extremal_height,
+    tarjan_components,
 )
 
 
@@ -218,6 +222,42 @@ def test_sampler_matches_reference(figure):
     _, graph, _, weights = pipeline_from_cells(figure.cells)
     assert_flips_match_status(graph, weights)
     assert_samples_match_reference(graph, weights, range(50))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(tileable_masks(), masked_figures(max_cells=24)))
+def test_components_match_reference(figure):
+    """forced_components against the Tarjan reference."""
+    _, graph, _, weights = pipeline_from_cells(figure.cells)
+    assert_components_match_reference(graph, weights)
+
+
+@st.composite
+def digraphs(draw, max_vertices=9):
+    """(n, arcs) on vertices 0..n-1, without loops."""
+    n = draw(st.integers(1, max_vertices))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    return n, draw(st.lists(pairs.filter(lambda a: a[0] != a[1]), max_size=2 * n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(digraphs())
+def test_scc_matches_reference(digraph):
+    """Kosaraju's components are Tarjan's, and there are n of them exactly
+    when the loop-free digraph has a topological order."""
+    n, arcs = digraph
+    comps = _strongly_connected_components(range(n), arcs)
+    out = {}
+    for u, v in arcs:
+        out.setdefault(u, []).append(v)
+    assert {frozenset(c) for c in comps} == {frozenset(c) for c in tarjan_components(range(n), out)}
+    assert sorted(v for c in comps for v in c) == list(range(n))
+    try:
+        tuple(TopologicalSorter({v: [u for u, w in arcs if w == v] for v in range(n)}).static_order())
+        acyclic = True
+    except CycleError:
+        acyclic = False
+    assert (len(comps) == n) == acyclic
 
 
 def pipeline_from_cells(cells):
