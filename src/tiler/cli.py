@@ -238,8 +238,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.run(args, *pipeline(_read(args.figure)))
-    except Untileable:
-        print("untileable", file=sys.stderr)
+    except Untileable as exc:
+        print(f"untileable: {exc}", file=sys.stderr)
         return 1
     except (TilerError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -164,22 +164,22 @@ class Orientation:
     arcs: frozenset  # ordered component index pairs
 
 
-def edge_direction(cg: ComponentGraph, weights: ArcWeights, h: dict, arc):
+def edge_direction(cg: ComponentGraph, h: dict, arc):
     """Orientation (i, j) of the quotient edge of triple arc = (u, v, t)."""
     u, v, t = arc
     i, j = cg.comp_of[u], cg.comp_of[v]
     d = h[v] - h[u]
     if d == t:
         return (i, j)
-    assert d == weights.b[(u, v)], "arc difference outside {b, t}"
+    # Quotient arcs are never boundary arcs, so the lower difference is t - 4.
+    assert d == t - 4, "arc difference outside {t - 4, t}"
     return (j, i)
 
 
 def to_orientation(cg: ComponentGraph, weights: ArcWeights, hf: HeightFunction) -> Orientation:
-    # Both triples of an edge give its orientation, since t(u, v) = -b(v, u).
-    arcs = frozenset(
-        edge_direction(cg, weights, hf.h, arc) for arcs in cg.neighbors for arc in arcs
-    )
+    """The acyclic quotient orientation of hf; `weights` is not read."""
+    # Both triples of an edge give its orientation, since b(u, v) = -t(v, u).
+    arcs = frozenset(edge_direction(cg, hf.h, arc) for arcs in cg.neighbors for arc in arcs)
     # Quotients of tiling graphs are acyclic.  Every quotient arc joins two
     # components, so a cycle would be a strong component of two or more.
     n = len(cg.components)

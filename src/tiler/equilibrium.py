@@ -3,7 +3,8 @@
 An equilibrium function is a skew-symmetric arc weight eq with eq(C) = 0
 around every cell and eq(C) = -sp(C) around every clockwise hole contour.
 It neutralizes holes so that height functions stay single-valued.  The
-derived weights t and b are the two admissible height differences per arc.
+derived weight t is the upper admissible height difference per arc; the
+lower one is -t of the reversed arc.
 """
 
 from __future__ import annotations
@@ -39,18 +40,18 @@ class EquilibriumFunction:
 
 @dataclass
 class ArcWeights:
-    """Per-arc weights eq_r, t, b, the spin sp and the eq = 0 spanning tree.
+    """Per-arc upper height difference t and spin sp, and the eq = 0
+    spanning tree.
 
     sp maps every arc of the graph to its spin (+1 with a white cell on the
     left), computed once here so that later passes over the arcs need not
-    re-derive it.  On boundary arcs t = b = eq + sp; elsewhere
-    t = eq - sp + 2 and b = eq - sp - 2, so t(u, v) = -b(v, u) on every arc.
+    re-derive it.  On boundary arcs t = eq + sp; elsewhere t = eq - sp + 2.
+    The lower difference of an arc is b(u, v) = -t(v, u): t itself on
+    boundary arcs and t - 4 elsewhere.
     """
 
-    eq_r: dict
-    sp: dict
     t: dict
-    b: dict
+    sp: dict
     tree_parent: dict  # vertex -> parent vertex (w0 -> None)
     tree_order: list  # BFS order from w0
 
@@ -97,21 +98,14 @@ def step_values(graph: FigureGraph, cutlines) -> dict:
 
 
 def make_weights(graph: FigureGraph, eqfn: EquilibriumFunction, require_tree=True):
-    """Derive eq_r, sp, t, b and (optionally) the eq = 0 spanning tree."""
-    eq_r = {}
+    """Store t and sp per arc (see ArcWeights) and, optionally, the eq = 0
+    spanning tree; b and eq - sp are read off t where they are needed."""
+    boundary = graph.boundary_arcs
     spins = {}
-    t = {}
-    b = {}
-    for a in graph.arcs:
+    for a in graph.arcs:  # keyed by the graph's own arc tuples, not copies
         u, v = a
-        sp = spins[a] = spin_of_move((u.x, u.y), (v.x - u.x, v.y - u.y))
-        e = eqfn(a)
-        eq_r[a] = e - sp
-        if a in graph.boundary_arcs:
-            t[a] = b[a] = e + sp
-        else:
-            t[a] = e - sp + 2
-            b[a] = e - sp - 2
+        spins[a] = spin_of_move((u.x, u.y), (v.x - u.x, v.y - u.y))
+    t = {a: eqfn(a) + sp if a in boundary else eqfn(a) - sp + 2 for a, sp in spins.items()}
 
     tree_parent = {graph.w0: None}
     tree_order = [graph.w0]
@@ -125,7 +119,7 @@ def make_weights(graph: FigureGraph, eqfn: EquilibriumFunction, require_tree=Tru
                 queue.append(v)
     if require_tree and len(tree_order) != len(graph.vertices):
         raise TilerError("eq = 0 arcs do not span the figure graph")
-    return ArcWeights(eq_r, spins, t, b, tree_parent, tree_order)
+    return ArcWeights(t, spins, tree_parent, tree_order)
 
 
 def build_equilibrium(graph: FigureGraph):

@@ -3,7 +3,8 @@ paths.
 
 A flip adds or subtracts 4 to the heights of one forced component.  On a
 single-vertex component this is the usual 2x2 domino rotation; on a hole
-component every domino around the hole moves.
+component every domino around the hole moves.  Flips read t from the
+quotient triples; the public functions accept `weights` but do not read it.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ class Flip:
     direction: str
 
 
-def component_status(cg: ComponentGraph, weights: ArcWeights, h: dict, i: int):
+def component_status(cg: ComponentGraph, h: dict, i: int):
     """(has_incoming, has_outgoing) for component i in the orientation
     induced by the heights h."""
     has_in = has_out = False
@@ -45,7 +46,7 @@ def available_flips(cg: ComponentGraph, weights: ArcWeights, hf: HeightFunction)
     for i in range(len(cg.components)):
         if i == cg.infinity:
             continue
-        has_in, has_out = component_status(cg, weights, hf.h, i)
+        has_in, has_out = component_status(cg, hf.h, i)
         if not has_in:
             flips.append(Flip(i, UP))
         if not has_out:
@@ -53,7 +54,7 @@ def available_flips(cg: ComponentGraph, weights: ArcWeights, hf: HeightFunction)
     return flips
 
 
-def try_flip_inplace(cg: ComponentGraph, weights: ArcWeights, h: dict, i: int, direction: str) -> bool:
+def try_flip_inplace(cg: ComponentGraph, h: dict, i: int, direction: str) -> bool:
     """Apply the flip to a raw height dict if available; no-op otherwise.
 
     One pass over the component's quotient arcs, stopping at the first that
@@ -79,7 +80,7 @@ def apply_flip(cg: ComponentGraph, weights: ArcWeights, hf: HeightFunction, flip
     if flip.component == cg.infinity:
         raise FlipNotAvailable("cannot flip the infinite component")
     h = dict(hf.h)
-    if not try_flip_inplace(cg, weights, h, flip.component, flip.direction):
+    if not try_flip_inplace(cg, h, flip.component, flip.direction):
         raise FlipNotAvailable(f"{flip} is not applicable")
     return HeightFunction(hf.graph, h)
 
@@ -89,7 +90,7 @@ def flip_distance(h1: HeightFunction, h2: HeightFunction, cg: ComponentGraph) ->
     return delta(h1, h2, cg) // 4
 
 
-def _monotone_path(cg, weights, start: HeightFunction, target: HeightFunction, direction):
+def _monotone_path(cg, start: HeightFunction, target: HeightFunction, direction):
     """Flip sequence from start to a comparable target, one direction only.
 
     Sweeps the components that differ from the target, flipping each one
@@ -106,7 +107,7 @@ def _monotone_path(cg, weights, start: HeightFunction, target: HeightFunction, d
         applied = len(flips)
         left = []
         for i in pending:
-            if try_flip_inplace(cg, weights, h, i, direction):
+            if try_flip_inplace(cg, h, i, direction):
                 flips.append(Flip(i, direction))
                 if h[reps[i]] == target.h[reps[i]]:
                     continue
@@ -122,8 +123,8 @@ def flip_path(cg: ComponentGraph, weights: ArcWeights, h1: HeightFunction, h2: H
     if not same_figure(h1, h2):
         raise DifferentFigures("flip path between different figures")
     meet = inf(h1, h2)
-    down, at_meet = _monotone_path(cg, weights, h1, meet, DOWN)
-    up, final = _monotone_path(cg, weights, at_meet, h2, UP)
+    down, at_meet = _monotone_path(cg, h1, meet, DOWN)
+    up, final = _monotone_path(cg, at_meet, h2, UP)
     assert final == h2
     path = down + up
     assert len(path) == flip_distance(h1, h2, cg)

@@ -52,7 +52,7 @@ def _lex_heights(graph: FigureGraph, weights: ArcWeights):
     yield h
     while True:
         for pos in range(len(order) - 1, -1, -1):
-            if try_flip_inplace(cg, weights, h, order[pos], UP):
+            if try_flip_inplace(cg, h, order[pos], UP):
                 break
         else:
             return
@@ -61,7 +61,7 @@ def _lex_heights(graph: FigureGraph, weights: ArcWeights):
         while moved:
             moved = False
             for i in free:
-                if try_flip_inplace(cg, weights, h, i, DOWN):
+                if try_flip_inplace(cg, h, i, DOWN):
                     moved = True
         yield h
 
@@ -126,8 +126,8 @@ def _draw_sample(graph: FigureGraph, weights: ArcWeights, prepared, seed: int):
         for when in range(window, 0, -1):
             pos, direction = plan_update(seed, when, q)
             comp = order[pos]
-            try_flip_inplace(cg, weights, lo, comp, direction)
-            try_flip_inplace(cg, weights, hi, comp, direction)
+            try_flip_inplace(cg, lo, comp, direction)
+            try_flip_inplace(cg, hi, comp, direction)
             for v in cg.components[comp]:
                 if lo[v] > hi[v]:
                     raise AssertionError("CFTP sandwich property violated")

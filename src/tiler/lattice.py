@@ -59,84 +59,80 @@ def delta(h1: HeightFunction, h2: HeightFunction, components) -> int:
 
 
 def _boundary_heights(graph: FigureGraph, weights: ArcWeights) -> dict:
-    """Integrate g_F = t = eq + sp along the outer contour; every tiling
-    agrees with these values."""
+    """Integrate g_F = t along the outer contour; every tiling agrees with
+    these values."""
     t = weights.t
     contour = graph.outer_contour
     h = {contour[0]: 0}
     for u, v in zip(contour, contour[1:]):
         val = h[u] + t[(u, v)]
-        if v in h:
-            if h[v] != val:
-                raise Untileable("outer boundary heights are contradictory")
-        else:
-            h[v] = val
+        if h.setdefault(v, val) != val:
+            msg = f"outer boundary heights are contradictory: {v} at height {val}, not {h[v]}"
+            raise Untileable(msg)
     return h
-
-
-def _tree_sums(graph: FigureGraph, weights: ArcWeights, table: dict) -> dict:
-    out = {graph.w0: 0}
-    for v in weights.tree_order[1:]:
-        p = weights.tree_parent[v]
-        out[v] = out[p] + table[(p, v)]
-    return out
 
 
 def _extremal_height(graph: FigureGraph, weights: ArcWeights, sign: int):
     """Minimal (sign = +1) or maximal (sign = -1) height function by direct
-    label-correcting relaxation.
+    label-correcting relaxation over the signed heights g = sign * h.
 
     The minimal height is the least fixed point of
-    h[v] = max_u(h[u] - t(v, u)) above the tree sums of b, with the outer
-    boundary frozen.  A FIFO worklist sets a violating vertex in one step to
-    that maximum; every arc's t is congruent mod 4 to the height difference,
-    so each jump is a multiple of 4 and the fixed point is the one that steps
-    of 4 reach.  One routine serves both extremes because
-    t(u, v) = -b(v, u): reversing every arc swaps the minimum and the
-    maximum.  A frozen vertex that has to move, or a vertex passing its
-    opposite bound (the tree sums of t), means no tiling.
+    g[v] = max_u(g[u] - t(v, u)) above the tree sums of the lower
+    differences -t(v, u), with the outer boundary frozen.  The maximum is
+    the same least fixed point with every arc reversed, so its loops read
+    t(u, v) where the minimum's read t(v, u).  A FIFO worklist sets a
+    violating vertex in one step to that maximum; every arc's t is
+    congruent mod 4 to the height difference, so each jump is a multiple of
+    4 and the fixed point is the one that steps of 4 reach.  A frozen vertex
+    that has to move, or a vertex passing its opposite bound (the tree sums
+    of the upper differences), means no tiling.
 
     Returns (height function, passes); passes is the total displacement
     sum of |h_final - h_start| / 4, the number of 4-steps a worklist moving
     one vertex by 4 at a time makes in any order.  Raises Untileable.
     """
-    n = len(graph.figure)
-    near, far = (weights.b, weights.t) if sign > 0 else (weights.t, weights.b)
-    h = _tree_sums(graph, weights, near)
-    bound = _tree_sums(graph, weights, far)
+    t = weights.t
+    lo = sign > 0
+    g, bound = {graph.w0: 0}, {graph.w0: 0}
+    for v in weights.tree_order[1:]:
+        p = weights.tree_parent[v]
+        up, down = t[(p, v)], t[(v, p)]
+        g[v] = g[p] - (down if lo else up)
+        bound[v] = bound[p] + (up if lo else down)
     for v, val in _boundary_heights(graph, weights).items():
-        h[v] = bound[v] = val
+        g[v] = bound[v] = sign * val
 
     adj = graph.adjacency
-    best = max if sign > 0 else min
 
     def pull(v):
         # The value the neighbours of v force on it.
-        return best(h[u] - far[(v, u)] for u in adj[v])
+        if lo:
+            return max(g[u] - t[(v, u)] for u in adj[v])
+        return max(g[u] - t[(u, v)] for u in adj[v])
 
-    queue = deque(v for v in sorted(graph.vertices) if sign * (pull(v) - h[v]) > 0)
+    queue = deque(v for v in sorted(graph.vertices) if pull(v) > g[v])
     inq = set(queue)
     passes = relaxations = 0
-    limit = n * n
+    limit = len(graph.figure) ** 2
     while queue:
         v = queue.popleft()
         inq.discard(v)
-        hv = pull(v)
-        if sign * (hv - h[v]) <= 0:
+        gv = pull(v)
+        if gv <= g[v]:
             continue
-        passes += sign * (hv - h[v]) // 4
-        h[v] = hv
+        passes += (gv - g[v]) // 4
+        g[v] = gv
         relaxations += 1
         if relaxations > limit:
-            kind = "minimal" if sign > 0 else "maximal"
+            kind = "minimal" if lo else "maximal"
             raise AssertionError(f"{kind}-height relaxation counter exceeded n^2")
-        if sign * (hv - bound[v]) > 0:
+        if gv > bound[v]:
             raise Untileable(f"no tiling: height at {v} passes its bound")
         for u in adj[v]:
-            if u not in inq and sign * (hv - h[u] - far[(u, v)]) > 0:
+            if u not in inq and gv - g[u] > (t[(u, v)] if lo else t[(v, u)]):
                 queue.append(u)
                 inq.add(u)
-    return HeightFunction(graph, h), passes
+    return HeightFunction(graph, g if lo else {v: -x for v, x in g.items()}), passes
 
 
 def minimal_height(graph: FigureGraph, weights: ArcWeights):

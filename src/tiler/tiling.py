@@ -2,8 +2,8 @@
 
 A tiling is stored as the set of its central axes (the shared edge of each
 domino's two cells).  Height functions are integer vertex potentials with
-h(w0) = 0 whose arc differences lie in {b(a), t(a)}; they are in bijection
-with tilings.
+h(w0) = 0 whose difference on each arc (u, v) lies in {-t(v, u), t(u, v)};
+they are in bijection with tilings.
 """
 
 from __future__ import annotations
@@ -111,12 +111,15 @@ def validate_tiling(graph: FigureGraph, dominoes) -> Tiling:
 
 
 def g_of_tiling(graph: FigureGraph, weights: ArcWeights, tiling: Tiling) -> dict:
-    """Height difference g_T(a) = eq_r(a) + 2 sp(a) (1 - 2 chi_T(a))."""
+    """Height difference g_T: t on a spin +1 arc, t - 4 on a spin -1 arc
+    off the boundary; along an axis of T, minus 4 times the spin."""
     axes = tiling.axes
+    t, sp = weights.t, weights.sp
+    boundary = graph.boundary_arcs
     g = {}
-    for a in graph.arcs:
-        chi = 1 if arc_axis_key(a) in axes else 0
-        g[a] = weights.eq_r[a] + 2 * weights.sp[a] * (1 - 2 * chi)
+    for a, s in sp.items():
+        d = t[a] - 4 * s if arc_axis_key(a) in axes else t[a]
+        g[a] = d - 4 if s < 0 and a not in boundary else d
     return g
 
 
@@ -134,20 +137,23 @@ def height_of_tiling(graph: FigureGraph, weights: ArcWeights, tiling: Tiling):
     for (u, v), val in g.items():
         if h[v] - h[u] != val:
             raise InconsistentCycle(f"g_T has a nonzero cycle through {(u, v)}")
-        if val not in (weights.b[(u, v)], weights.t[(u, v)]):
+        if val != weights.t[(u, v)] and val != -weights.t[(v, u)]:
             raise InconsistentCycle(f"g_T({(u, v)}) outside {{b, t}}")
     return HeightFunction(graph, h)
 
 
 def tiling_of_height(graph: FigureGraph, weights: ArcWeights, hf: HeightFunction) -> Tiling:
-    """The unique tiling whose height function is hf."""
+    """The unique tiling whose height function is hf: every difference is t
+    or b = -t of the reversed arc, and the axes are the spin +1 arcs off t."""
+    t, sp = weights.t, weights.sp
     axes = set()
-    for a in graph.arcs:
+    for a, ta in t.items():
         u, v = a
         d = hf.h[v] - hf.h[u]
-        if d not in (weights.b[a], weights.t[a]):
-            raise NotAHeightFunction(f"difference {d} on arc {a} outside {{b, t}}")
-        if d - weights.eq_r[a] == -2 * weights.sp[a]:
-            axes.add(arc_axis_key(a))
+        if d != ta:
+            if d != -t[(v, u)]:
+                raise NotAHeightFunction(f"difference {d} on arc {a} outside {{b, t}}")
+            if sp[a] > 0:
+                axes.add(arc_axis_key(a))
     dominoes = [axis_cells(axis) for axis in axes]
     return validate_tiling(graph, dominoes)

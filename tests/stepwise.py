@@ -16,35 +16,57 @@ whether the component may move, and the sandwich is checked with `any`.
 `reference_forced_components` is `forced_components` as it was before the
 Kosaraju routine: out-lists of G_T, then an iterative Tarjan with lowlinks
 and an on-stack set.
+
+`reference_g_of_tiling` and `reference_tiling_of_height` are the encode and
+decode as they were when the weights stored eq_r = eq - sp and b beside t:
+both recompute those from the equilibrium function and the spins.
 """
 
 from collections import deque
 
 from tiler import generation
 from tiler.components import HOLE, INFINITY, SINGLE, ComponentGraph, forced_components, tiling_graph
-from tiler.errors import Untileable
+from tiler.errors import NotAHeightFunction, Untileable
 from tiler.flips import DOWN, UP, component_status, try_flip_inplace
 from tiler.generation import component_order, enumerate_tilings, plan_update
+from tiler.grid import spin_of_move
 from tiler.lattice import (
     _boundary_heights,
-    _tree_sums,
     max_tiling,
     maximal_height,
     min_tiling,
     minimal_height,
 )
-from tiler.tiling import HeightFunction, height_of_tiling, tiling_of_height
+from tiler.tiling import (
+    HeightFunction,
+    arc_axis_key,
+    axis_cells,
+    height_of_tiling,
+    tiling_of_height,
+    validate_tiling,
+)
+
+
+def _tree_sums(weights, table):
+    """Heights from w0 along the eq = 0 tree, adding table on each tree arc."""
+    out = {}
+    for v in weights.tree_order:
+        p = weights.tree_parent[v]
+        out[v] = 0 if p is None else out[p] + table[(p, v)]
+    return out
 
 
 def stepwise_extremal_height(graph, weights, sign, pinned=None):
     """(height function, number of ±4 updates); raises Untileable."""
     n = len(graph.figure)
-    near, far = (weights.b, weights.t) if sign > 0 else (weights.t, weights.b)
+    t = weights.t
+    b = {(u, v): -t[(v, u)] for u, v in t}
+    near, far = (b, t) if sign > 0 else (t, b)
     fixed = _boundary_heights(graph, weights)
     if pinned:
         fixed.update(pinned)
-    h = _tree_sums(graph, weights, near)
-    bound = _tree_sums(graph, weights, far)
+    h = _tree_sums(weights, near)
+    bound = _tree_sums(weights, far)
     for v, val in fixed.items():
         h[v] = bound[v] = val
 
@@ -96,7 +118,7 @@ def stepwise_successor(graph, weights, cg, order, h):
     with pins: the components in `order` before the last one that can flip
     up keep their heights, that one is pinned 4 higher, and the ±4 worklist
     minimizes the rest.  None if no component can flip up."""
-    up = [k for k, i in enumerate(order) if not component_status(cg, weights, h, i)[0]]
+    up = [k for k, i in enumerate(order) if not component_status(cg, h, i)[0]]
     if not up:
         return None
     pos = up[-1]
@@ -122,9 +144,9 @@ def assert_successors_match_stepwise(graph, weights):
         assert stepwise_successor(graph, weights, cg, order, h) == successor
 
 
-def _status_flip(cg, weights, h, i, direction):
+def _status_flip(cg, h, i, direction):
     """The flip as decided from `component_status`; True if it applied."""
-    has_in, has_out = component_status(cg, weights, h, i)
+    has_in, has_out = component_status(cg, h, i)
     if has_in if direction == UP else has_out:
         return False
     shift = 4 if direction == UP else -4
@@ -150,8 +172,8 @@ def reference_sample(graph, weights, seed):
             pos, direction = plan_update(seed, when, len(order))
             updates += 1
             comp = order[pos]
-            _status_flip(cg, weights, lo, comp, direction)
-            _status_flip(cg, weights, hi, comp, direction)
+            _status_flip(cg, lo, comp, direction)
+            _status_flip(cg, hi, comp, direction)
             if any(lo[v] > hi[v] for v in cg.components[comp]):
                 raise AssertionError("CFTP sandwich property violated")
         if lo == hi:
@@ -192,9 +214,9 @@ def assert_flips_match_status(graph, weights):
         for i in range(len(cg.components)):
             for direction in (UP, DOWN):
                 expected = dict(h)
-                allowed = _status_flip(cg, weights, expected, i, direction)
+                allowed = _status_flip(cg, expected, i, direction)
                 got = dict(h)
-                assert try_flip_inplace(cg, weights, got, i, direction) == allowed
+                assert try_flip_inplace(cg, got, i, direction) == allowed
                 assert got == expected
                 assert (got == h) != allowed
 
@@ -306,3 +328,39 @@ def assert_components_match_reference(graph, weights):
         assert cg.representatives == ref.representatives
         assert cg.infinity == ref.infinity
         assert cg.neighbors == ref.neighbors
+
+
+def reference_arc_weights(graph, eqfn):
+    """Per arc (eq_r, sp, b, t), from eqfn and the spins: eq_r = eq - sp; on
+    boundary arcs t = b = eq + sp, elsewhere t = eq_r + 2 and b = eq_r - 2."""
+    out = {}
+    for a in graph.arcs:
+        u, v = a
+        sp = spin_of_move((u.x, u.y), (v.x - u.x, v.y - u.y))
+        eq_r = eqfn(a) - sp
+        if a in graph.boundary_arcs:
+            out[a] = (eq_r, sp, eq_r + 2 * sp, eq_r + 2 * sp)
+        else:
+            out[a] = (eq_r, sp, eq_r - 2, eq_r + 2)
+    return out
+
+
+def reference_g_of_tiling(graph, eqfn, tiling):
+    """g_T(a) = eq_r(a) + 2 sp(a) (1 - 2 chi_T(a)) for any axis set."""
+    return {
+        a: eq_r + 2 * sp * (1 - 2 * (arc_axis_key(a) in tiling.axes))
+        for a, (eq_r, sp, _, _) in reference_arc_weights(graph, eqfn).items()
+    }
+
+
+def reference_tiling_of_height(graph, eqfn, hf):
+    """Every difference must lie in {b, t}; the axes are the arcs whose
+    difference is eq_r - 2 sp."""
+    axes = set()
+    for (u, v), (eq_r, sp, b, t) in reference_arc_weights(graph, eqfn).items():
+        d = hf.h[v] - hf.h[u]
+        if d not in (b, t):
+            raise NotAHeightFunction(f"difference {d} on arc {(u, v)} outside {{b, t}}")
+        if d - eq_r == -2 * sp:
+            axes.add(arc_axis_key((u, v)))
+    return validate_tiling(graph, [axis_cells(axis) for axis in axes])

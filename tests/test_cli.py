@@ -69,7 +69,8 @@ class TestMinMax:
     def test_untileable(self, capsys, fig_file):
         code, _, err = run(capsys, "min", fig_file("l-tromino"))
         assert code == 1
-        assert "untileable" in err
+        assert err.startswith("untileable: outer boundary heights are contradictory")
+        assert "GridVertex(x=0, y=0, copy=0)" in err
 
 
 class TestCountEnum:

@@ -270,8 +270,8 @@ class TestOrientation:
         around = {(x, y) for x, y in zip(cycle, cycle[1:] + cycle[:1])}
         real = components.edge_direction
 
-        def fake(cg, weights, h, arc):
-            edge = real(cg, weights, h, arc)
+        def fake(cg, h, arc):
+            edge = real(cg, h, arc)
             return edge[::-1] if edge[::-1] in around else edge
 
         monkeypatch.setattr(components, "edge_direction", fake)

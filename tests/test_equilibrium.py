@@ -1,9 +1,13 @@
 """Cut lines, step values, equilibrium construction and verification."""
 
+import dataclasses
+import gc
 import random
+import tracemalloc
 
 import pytest
 
+from tiler import pipeline
 from tiler.equilibrium import (
     EquilibriumFunction,
     build_cut_lines,
@@ -15,6 +19,19 @@ from tiler.equilibrium import (
 from tiler.errors import TilerError
 
 from .conftest import built
+
+
+def assert_t_matches_eqfn(graph, eqfn, weights):
+    """The stored t against eq and sp: t = eq + sp on boundary arcs and
+    eq - sp + 2 elsewhere.  The derived lower difference -t(v, u) is then t
+    on boundary arcs and t - 4 elsewhere."""
+    t, sp = weights.t, weights.sp
+    assert set(t) == set(sp) == set(graph.arcs)
+    for u, v in graph.arcs:
+        a = (u, v)
+        boundary = a in graph.boundary_arcs
+        assert t[a] == (eqfn(a) + sp[a] if boundary else eqfn(a) - sp[a] + 2)
+        assert -t[(v, u)] == (t[a] if boundary else t[a] - 4)
 
 
 def perturbed(graph, eqfn, rng):
@@ -146,9 +163,28 @@ class TestWeights:
         with pytest.raises(TilerError):
             make_weights(graph, bad)
 
+    def test_stored_fields(self):
+        # b and eq - sp are read off t, never stored beside it.
+        _, _, _, weights = built("2x2")
+        names = [f.name for f in dataclasses.fields(weights)]
+        assert names == ["t", "sp", "tree_parent", "tree_order"]
+
     def test_t_b_structure(self, corpus_name):
-        _, graph, _, weights = built(corpus_name)
-        for a in graph.arcs:
-            gap = weights.t[a] - weights.b[a]
-            assert gap == (0 if a in graph.boundary_arcs else 4)
-            assert weights.t[a] % 4 == weights.b[a] % 4
+        _, graph, eqfn, weights = built(corpus_name)
+        assert_t_matches_eqfn(graph, eqfn, weights)
+
+
+def test_pipeline_retained_memory():
+    """What pipeline() keeps for a 32x32 square, under tracemalloc: at most
+    1.30 KiB per cell (1.47 when the weights held four per-arc dicts)."""
+    n = 32
+    pipeline("##")  # one-time caches are not per-figure memory
+    gc.collect()
+    tracemalloc.start()
+    try:
+        kept = pipeline("\n".join(["#" * n] * n))
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(kept[0]) == n * n
+    assert retained / 1024 / (n * n) <= 1.30

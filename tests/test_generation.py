@@ -194,7 +194,7 @@ class TestSampleUniform:
 
         calls = itertools.count()
 
-        def lower_chain_only(cg, weights, h, i, direction):
+        def lower_chain_only(cg, h, i, direction):
             n = next(calls)
             if n > 10_000:
                 raise RuntimeError("the sandwich check never fired")

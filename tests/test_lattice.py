@@ -22,7 +22,7 @@ from tiler.lattice import (
 from tiler.oracle import brute_enumerate
 from tiler.tiling import height_of_tiling, tiling_of_height
 
-from .conftest import COUNTS, ENUMERABLE, built
+from .conftest import CORPUS, COUNTS, ENUMERABLE, built
 from .stepwise import outcome, stepwise_extremal_height
 
 TRIPLE_CAP = 10_000
@@ -229,3 +229,19 @@ class TestUntileable:
         # past its upper bound before any boundary vertex has to move.
         graph, v = self._named_vertex(".##.#\n#####\n.#..#", 1)
         assert v not in graph.outer_contour
+
+    @pytest.mark.parametrize("sign", [1, -1], ids=["min", "max"])
+    @pytest.mark.parametrize("text", ["###", CORPUS["l-tromino"]], ids=["1x3", "l-tromino"])
+    def test_outer_contour_contradicts(self, text, sign):
+        # Unbalanced: t summed around the outer contour is not 0, so the
+        # contour comes back to its first vertex at another height.  The
+        # message names that vertex and both heights.
+        graph, v = self._named_vertex(text, sign)
+        assert v == graph.outer_contour[0]
+        _, graph, _, weights = pipeline(text)
+        contour = graph.outer_contour
+        closing = sum(weights.t[a] for a in zip(contour, contour[1:]))
+        assert closing != 0
+        extremal = minimal_height if sign > 0 else maximal_height
+        with pytest.raises(Untileable, match=f"at height {closing}, not 0$"):
+            extremal(graph, weights)

@@ -8,12 +8,19 @@ from hypothesis import strategies as st
 
 from tiler.components import _strongly_connected_components
 from tiler.equilibrium import verify_equilibrium
-from tiler.errors import ParseError, Untileable
+from tiler.errors import ParseError, TilerError, Untileable
 from tiler.generation import count_tilings, enumerate_tilings
 from tiler.grid import Cell, build_graph, make_figure, parse_figure
 from tiler.lattice import compare, maximal_height, minimal_height, OrderRelation
 from tiler.oracle import brute_enumerate
-from tiler.tiling import height_of_tiling, tiling_of_height
+from tiler.tiling import (
+    HeightFunction,
+    Tiling,
+    arc_axis_key,
+    g_of_tiling,
+    height_of_tiling,
+    tiling_of_height,
+)
 
 from .stepwise import (
     assert_components_match_reference,
@@ -21,9 +28,12 @@ from .stepwise import (
     assert_samples_match_reference,
     assert_successors_match_stepwise,
     outcome,
+    reference_g_of_tiling,
+    reference_tiling_of_height,
     stepwise_extremal_height,
     tarjan_components,
 )
+from .test_equilibrium import assert_t_matches_eqfn
 
 
 @st.composite
@@ -49,6 +59,7 @@ def small_figures(draw):
 def test_equilibrium_always_valid(figure):
     _, graph, eqfn, weights = pipeline_from_cells(figure.cells)
     assert verify_equilibrium(graph, eqfn)
+    assert_t_matches_eqfn(graph, eqfn, weights)
     n = len(figure)
     assert all(abs(eqfn(a)) <= 4 * n for a in graph.arcs)
 
@@ -222,6 +233,40 @@ def test_sampler_matches_reference(figure):
     _, graph, _, weights = pipeline_from_cells(figure.cells)
     assert_flips_match_status(graph, weights)
     assert_samples_match_reference(graph, weights, range(50))
+
+
+def _decoded(graph, decode, weights_or_eqfn, h):
+    """The tiling a decode returns for the heights h, or its error type."""
+    try:
+        return decode(graph, weights_or_eqfn, HeightFunction(graph, h))
+    except TilerError as exc:
+        return type(exc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(tileable_masks(), st.data())
+def test_encode_decode_match_reference(figure, data):
+    """g_of_tiling and tiling_of_height, which read only t and sp, against
+    the eq_r, b and t formulas recomputed from the equilibrium function: on
+    every tiling, on random axis sets that need not be tilings (boundary
+    sides included), and on heights with one vertex moved by 4."""
+    _, graph, eqfn, weights = pipeline_from_cells(figure.cells)
+    tilings = list(enumerate_tilings(graph, weights))
+    for tiling in tilings:
+        assert g_of_tiling(graph, weights, tiling) == reference_g_of_tiling(graph, eqfn, tiling)
+        h = height_of_tiling(graph, weights, tiling).h
+        assert reference_tiling_of_height(graph, eqfn, HeightFunction(graph, h)) == tiling
+    sides = sorted({arc_axis_key(a) for a in graph.arcs})
+    for _ in range(5):
+        axes = Tiling(axes=frozenset(data.draw(st.lists(st.sampled_from(sides), max_size=8))))
+        assert g_of_tiling(graph, weights, axes) == reference_g_of_tiling(graph, eqfn, axes)
+    h = height_of_tiling(graph, weights, data.draw(st.sampled_from(tilings))).h
+    moved = dict(h)
+    moved[data.draw(st.sampled_from(sorted(h)))] += data.draw(st.sampled_from([4, -4]))
+    for heights in (h, moved):
+        assert _decoded(graph, tiling_of_height, weights, heights) == _decoded(
+            graph, reference_tiling_of_height, eqfn, heights
+        )
 
 
 @settings(max_examples=200, deadline=None)
