@@ -151,7 +151,7 @@ def is_strongly_critical(graph: FigureGraph, weights: ArcWeights, cycle) -> bool
     if not is_critical(graph, weights, cycle):
         return False
     return all(
-        weights.sp[(u, v)] == 1
+        graph.arcs[(u, v)] == 1
         for u, v in zip(cycle, cycle[1:])
         if (u, v) not in graph.boundary_arcs
     )

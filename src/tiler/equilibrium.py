@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import TilerError
-from .grid import Cell, E, FigureGraph, W, cycle_spin, spin_of_move
+from .grid import Cell, E, FigureGraph, W, cycle_spin
 
 
 @dataclass(frozen=True)
@@ -40,18 +40,15 @@ class EquilibriumFunction:
 
 @dataclass
 class ArcWeights:
-    """Per-arc upper height difference t and spin sp, and the eq = 0
-    spanning tree.
+    """Per-arc upper height difference t and the eq = 0 spanning tree.
 
-    sp maps every arc of the graph to its spin (+1 with a white cell on the
-    left), computed once here so that later passes over the arcs need not
-    re-derive it.  On boundary arcs t = eq + sp; elsewhere t = eq - sp + 2.
-    The lower difference of an arc is b(u, v) = -t(v, u): t itself on
-    boundary arcs and t - 4 elsewhere.
+    The spin sp of an arc is stored on the graph, in `FigureGraph.arcs`.
+    On boundary arcs t = eq + sp; elsewhere t = eq - sp + 2.  The lower
+    difference of an arc is b(u, v) = -t(v, u): t itself on boundary arcs
+    and t - 4 elsewhere.
     """
 
     t: dict
-    sp: dict
     tree_parent: dict  # vertex -> parent vertex (w0 -> None)
     tree_order: list  # BFS order from w0
 
@@ -97,15 +94,12 @@ def step_values(graph: FigureGraph, cutlines) -> dict:
     return steps
 
 
-def make_weights(graph: FigureGraph, eqfn: EquilibriumFunction, require_tree=True):
-    """Store t and sp per arc (see ArcWeights) and, optionally, the eq = 0
-    spanning tree; b and eq - sp are read off t where they are needed."""
+def make_weights(graph: FigureGraph, eqfn: EquilibriumFunction):
+    """Store t per arc, keyed by the graph's own arc tuples (see ArcWeights),
+    and the eq = 0 spanning tree; raise TilerError if that tree does not span
+    the graph.  b and eq - sp are read off t and the spins where needed."""
     boundary = graph.boundary_arcs
-    spins = {}
-    for a in graph.arcs:  # keyed by the graph's own arc tuples, not copies
-        u, v = a
-        spins[a] = spin_of_move((u.x, u.y), (v.x - u.x, v.y - u.y))
-    t = {a: eqfn(a) + sp if a in boundary else eqfn(a) - sp + 2 for a, sp in spins.items()}
+    t = {a: eqfn(a) + s if a in boundary else eqfn(a) - s + 2 for a, s in graph.arcs.items()}
 
     tree_parent = {graph.w0: None}
     tree_order = [graph.w0]
@@ -117,9 +111,9 @@ def make_weights(graph: FigureGraph, eqfn: EquilibriumFunction, require_tree=Tru
                 tree_parent[v] = u
                 tree_order.append(v)
                 queue.append(v)
-    if require_tree and len(tree_order) != len(graph.vertices):
+    if len(tree_order) != len(graph.vertices):
         raise TilerError("eq = 0 arcs do not span the figure graph")
-    return ArcWeights(t, spins, tree_parent, tree_order)
+    return ArcWeights(t, tree_parent, tree_order)
 
 
 def build_equilibrium(graph: FigureGraph):

@@ -44,8 +44,8 @@ class GridVertex(NamedTuple):
         return (self.x, self.y)
 
 
-# An arc is an ordered pair of GridVertex; a cycle is a vertex list with
-# first == last.
+# An arc is an ordered pair of GridVertex, a key of FigureGraph.arcs; a cycle
+# is a vertex list with first == last.
 Arc = tuple
 Cycle = list
 
@@ -153,9 +153,8 @@ class FigureGraph:
     """Symmetric directed graph of a figure, after vertex duplication."""
 
     figure: Figure
-    vertices: frozenset
-    arcs: frozenset
-    adjacency: dict
+    arcs: dict  # arc -> its spin, +1 with a white cell on its left
+    adjacency: dict  # vertex -> sorted heads of its arcs; keys are the vertices
     boundary_arcs: frozenset
     holes: list
     w0: GridVertex
@@ -165,6 +164,10 @@ class FigureGraph:
     # Interned central axes, filled by `tiling.validate_tiling`, so every
     # Tiling of the figure shares one tuple per cell side.
     sides: dict = field(default_factory=dict, compare=False, repr=False)
+
+    @property
+    def vertices(self):
+        return self.adjacency.keys()
 
     def vertex(self, p, d) -> GridVertex:
         """Vertex copy at lattice point p attached to the edge leaving in
@@ -271,24 +274,25 @@ def build_graph(figure: Figure) -> FigureGraph:
             dup[(x + 1, y)] = "NW/SE"
 
     # One walk over the cells' sides, counterclockwise so that the cell is on
-    # the left.  An inner side is walked once from each of its cells, one way
-    # each; a boundary side gives both arcs and is the figure-on-the-left
-    # boundary arc, keyed by its tail with the hole on its right.
+    # the left and sets the arc's spin.  An inner side is walked once from
+    # each of its cells; a boundary side gives both arcs, of opposite spins,
+    # and the figure-on-the-left one is keyed in f_on_left by its tail.
     vertices = {}  # each vertex copy once: equal copies are one object
-    arcs = set()
+    arcs = {}
     boundary_arcs = set()
     f_on_left = {}  # tail vertex -> (head vertex, hole id or None)
     for x, y in cells:
+        s = -1 if is_black((x, y)) else 1
         ring = []
         for (px, py), d, _ in _CORNERS:
             v = _vertex_copy(dup, (x + px, y + py), d)
             ring.append(vertices.setdefault(v, v))
         for k, (_, _, (ox, oy)) in enumerate(_CORNERS):
             u, v = ring[k], ring[k - 3]
-            arcs.add((u, v))
+            arcs[(u, v)] = s
             across = Cell(x + ox, y + oy)
             if across not in cells:
-                arcs.add((v, u))
+                arcs[(v, u)] = -s
                 boundary_arcs.add((u, v))
                 boundary_arcs.add((v, u))
                 assert u not in f_on_left, "non-elementary contour at %s" % (u,)
@@ -328,8 +332,7 @@ def build_graph(figure: Figure) -> FigureGraph:
 
     return FigureGraph(
         figure=figure,
-        vertices=frozenset(vertices),
-        arcs=frozenset(arcs),
+        arcs=arcs,
         adjacency=adjacency,
         boundary_arcs=frozenset(boundary_arcs),
         holes=holes,
@@ -344,8 +347,7 @@ def spin(graph: FigureGraph, a) -> int:
     """Spin of an arc of the figure graph."""
     if a not in graph.arcs:
         raise ArcNotInFigure(f"{a} is not an arc of the figure")
-    u, v = a
-    return spin_of_move((u.x, u.y), (v.x - u.x, v.y - u.y))
+    return graph.arcs[a]
 
 
 def cycle_spin(cycle) -> int:

@@ -114,10 +114,10 @@ def g_of_tiling(graph: FigureGraph, weights: ArcWeights, tiling: Tiling) -> dict
     """Height difference g_T: t on a spin +1 arc, t - 4 on a spin -1 arc
     off the boundary; along an axis of T, minus 4 times the spin."""
     axes = tiling.axes
-    t, sp = weights.t, weights.sp
+    t = weights.t
     boundary = graph.boundary_arcs
     g = {}
-    for a, s in sp.items():
+    for a, s in graph.arcs.items():
         d = t[a] - 4 * s if arc_axis_key(a) in axes else t[a]
         g[a] = d - 4 if s < 0 and a not in boundary else d
     return g
@@ -145,7 +145,7 @@ def height_of_tiling(graph: FigureGraph, weights: ArcWeights, tiling: Tiling):
 def tiling_of_height(graph: FigureGraph, weights: ArcWeights, hf: HeightFunction) -> Tiling:
     """The unique tiling whose height function is hf: every difference is t
     or b = -t of the reversed arc, and the axes are the spin +1 arcs off t."""
-    t, sp = weights.t, weights.sp
+    t, sp = weights.t, graph.arcs
     axes = set()
     for a, ta in t.items():
         u, v = a

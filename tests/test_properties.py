@@ -10,7 +10,7 @@ from tiler.components import _strongly_connected_components
 from tiler.equilibrium import verify_equilibrium
 from tiler.errors import ParseError, TilerError, Untileable
 from tiler.generation import count_tilings, enumerate_tilings
-from tiler.grid import Cell, build_graph, make_figure, parse_figure
+from tiler.grid import Cell, build_graph, make_figure, parse_figure, spin_of_move
 from tiler.lattice import compare, maximal_height, minimal_height, OrderRelation
 from tiler.oracle import brute_enumerate
 from tiler.tiling import (
@@ -141,8 +141,8 @@ def cell_sides(cell):
 @settings(max_examples=200, deadline=None)
 @given(masked_figures())
 def test_figure_graph_from_cells(figure):
-    """The figure graph against the cells alone: its edges, boundary, pinch
-    copies, Euler's formula and one object per vertex."""
+    """The figure graph against the cells alone: its edges, arc spins,
+    boundary, pinch copies, Euler's formula and one object per vertex."""
     graph = build_graph(figure)
     cells = figure.cells
 
@@ -151,6 +151,10 @@ def test_figure_graph_from_cells(figure):
 
     sides = Counter(s for c in cells for s in cell_sides(c))
     assert {edge(a) for a in graph.arcs} == set(sides)
+    assert all(
+        s == spin_of_move((u.x, u.y), (v.x - u.x, v.y - u.y))
+        for (u, v), s in graph.arcs.items()
+    )
     assert {edge(a) for a in graph.boundary_arcs} == {
         s for s, n in sides.items() if n == 1
     }
