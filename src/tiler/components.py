@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .equilibrium import ArcWeights
-from .errors import NotACycle
+from .errors import ArcNotInFigure, NotACycle
 from .grid import FigureGraph
 from .tiling import HeightFunction, Tiling, g_of_tiling
 
@@ -20,33 +20,41 @@ SINGLE = "single"
 HOLE = "hole"
 
 
+def _in_tiling_graph(graph: FigureGraph, weights: ArcWeights, tiling: Tiling) -> list:
+    """Per arc id, whether the arc is in G_T, i.e. g_T = t."""
+    return [g == t for g, t in zip(g_of_tiling(graph, weights, tiling), weights.t)]
+
+
 def tiling_graph(graph: FigureGraph, weights: ArcWeights, tiling: Tiling) -> frozenset:
-    """Arcs a with g_T(a) = t(a); includes every boundary arc."""
-    g = g_of_tiling(graph, weights, tiling)
-    return frozenset(a for a in graph.arcs if g[a] == weights.t[a])
+    """Arcs a with g_T(a) = t(a), as GridVertex pairs; includes every
+    boundary arc."""
+    vs = graph.vertices
+    kept = zip(graph.tails(), graph.head, _in_tiling_graph(graph, weights, tiling))
+    return frozenset((vs[u], vs[v]) for u, v, keep in kept if keep)
 
 
-def _strongly_connected_components(vertices, arcs):
-    """Kosaraju: the strong components of the digraph (vertices, arcs), as
-    lists of vertices.  Both passes are iterative."""
-    out = {v: [] for v in vertices}
-    into = {v: [] for v in vertices}
-    for u, v in arcs:
-        out[u].append(v)
-        into[v].append(u)
+def _strongly_connected_components(out):
+    """Kosaraju: the strong components of the digraph on 0..n-1 whose
+    successor lists are `out`, as lists of vertices.  Both passes are
+    iterative."""
+    n = len(out)
+    into = [[] for _ in range(n)]
+    for u, succs in enumerate(out):
+        for v in succs:
+            into[v].append(u)
     # Pass 1: vertices in the order a depth-first search along out finishes them.
     finished = []
-    seen = set()
-    for root in out:
-        if root in seen:
+    seen = bytearray(n)
+    for root in range(n):
+        if seen[root]:
             continue
-        seen.add(root)
+        seen[root] = 1
         stack = [(root, iter(out[root]))]
         while stack:
             v, succs = stack[-1]
             for w in succs:
-                if w not in seen:
-                    seen.add(w)
+                if not seen[w]:
+                    seen[w] = 1
                     stack.append((w, iter(out[w])))
                     break
             else:
@@ -55,16 +63,16 @@ def _strongly_connected_components(vertices, arcs):
     # Pass 2: latest finished first, each unclaimed vertex claims what
     # reaches it along into; that is exactly its component.
     comps = []
-    claimed = set()
+    claimed = bytearray(n)
     for root in reversed(finished):
-        if root in claimed:
+        if claimed[root]:
             continue
-        claimed.add(root)
+        claimed[root] = 1
         comp = [root]
         for v in comp:  # comp grows while it is walked
             for u in into[v]:
-                if u not in claimed:
-                    claimed.add(u)
+                if not claimed[u]:
+                    claimed[u] = 1
                     comp.append(u)
         comps.append(comp)
     return comps
@@ -85,39 +93,55 @@ class ComponentGraph:
 
 
 def forced_components(graph: FigureGraph, weights: ArcWeights, tiling: Tiling) -> ComponentGraph:
-    comps = _strongly_connected_components(graph.vertices, tiling_graph(graph, weights, tiling))
-    comps = sorted((frozenset(c) for c in comps), key=min)
-    comp_of = {v: i for i, c in enumerate(comps) for v in c}
-    hole_vertices = {v for h in graph.holes for v in h.clockwise_contour}
-    infinity = comp_of[graph.w0]
+    """The strong components of G_T, numbered by their least vertex, with
+    their kinds and quotient graph; computed on vertex ids and given back
+    as GridVertex."""
+    t, head, rev, off, vs = weights.t, graph.head, graph.rev, graph.offsets, graph.vertices
+    n = len(vs)
+    keep = _in_tiling_graph(graph, weights, tiling)
+    out = [[head[k] for k in range(off[u], off[u + 1]) if keep[k]] for u in range(n)]
+    comps = sorted(_strongly_connected_components(out), key=min)
+    comp = [0] * n
+    for i, c in enumerate(comps):
+        for v in c:
+            comp[v] = i
+    hole_vertices = {graph.index[v] for h in graph.holes for v in h.clockwise_contour}
+    infinity = comp[0]  # w0's
     kinds = []
     for i, c in enumerate(comps):
         if i == infinity:
             kinds.append(INFINITY)
-        elif c & hole_vertices:
+        elif not hole_vertices.isdisjoint(c):
             kinds.append(HOLE)
         else:
             assert len(c) == 1, "unexpected multi-vertex non-hole component"
             kinds.append(SINGLE)
+    # The first arc met, in arc id order, between each pair of components.
+    m = len(comps)
+    first = {}
+    for u in range(n):
+        i = comp[u]
+        for k in range(off[u], off[u + 1]):
+            j = comp[head[k]]
+            if i != j:
+                assert not graph.boundary[k], "boundary arc between components"
+                pair = i * m + j if i < j else j * m + i
+                if pair not in first:
+                    first[pair] = k
     neighbors = [[] for _ in comps]
-    seen = set()
-    t = weights.t
-    for u, v in graph.arcs:
-        i, j = comp_of[u], comp_of[v]
-        if i == j:
-            continue
-        assert (u, v) not in graph.boundary_arcs, "boundary arc between components"
-        if i > j:
-            i, j, u, v = j, i, v, u
-        if (i, j) not in seen:
-            seen.add((i, j))
-            neighbors[i].append((u, v, t[(u, v)]))
-            neighbors[j].append((v, u, t[(v, u)]))
+    for k in first.values():
+        r = rev[k]
+        i, j = comp[head[r]], comp[head[k]]
+        if i > j:  # orient the pair from its lower component
+            i, j, k, r = j, i, r, k
+        tail, tip = vs[head[r]], vs[head[k]]
+        neighbors[i].append((tail, tip, t[k]))
+        neighbors[j].append((tip, tail, t[r]))
     return ComponentGraph(
-        components=tuple(comps),
-        comp_of=comp_of,
+        components=tuple(frozenset([vs[v] for v in c]) for c in comps),
+        comp_of=dict(zip(vs, comp)),
         kinds=tuple(kinds),
-        representatives=tuple(min(c) for c in comps),
+        representatives=tuple(vs[min(c)] for c in comps),
         infinity=infinity,
         neighbors=tuple(map(tuple, neighbors)),
     )
@@ -129,32 +153,33 @@ def quotient_edges(cg: ComponentGraph) -> list:
     return sorted((i, j) for i, j in pairs if i < j)
 
 
-def _check_cycle(graph: FigureGraph, cycle):
+def _cycle_arcs(graph: FigureGraph, cycle) -> list:
+    """Arc ids along an elementary closed walk of the figure graph."""
     if len(cycle) < 2 or cycle[0] != cycle[-1]:
         raise NotACycle("cycle must be closed")
     interior = cycle[:-1]
     if len(set(interior)) != len(interior):
         raise NotACycle("cycle repeats a vertex")
+    arcs = []
     for u, v in zip(cycle, cycle[1:]):
-        if (u, v) not in graph.arcs:
-            raise NotACycle(f"{(u, v)} is not an arc of the figure graph")
+        try:
+            arcs.append(graph.arc_id(u, v))
+        except ArcNotInFigure:
+            raise NotACycle(f"{(u, v)} is not an arc of the figure graph") from None
+    return arcs
 
 
 def is_critical(graph: FigureGraph, weights: ArcWeights, cycle) -> bool:
     """Elementary cycle with t(C) = 0."""
-    _check_cycle(graph, cycle)
-    return sum(weights.t[(u, v)] for u, v in zip(cycle, cycle[1:])) == 0
+    return sum(weights.t[k] for k in _cycle_arcs(graph, cycle)) == 0
 
 
 def is_strongly_critical(graph: FigureGraph, weights: ArcWeights, cycle) -> bool:
     """Critical, with spin +1 on every non-boundary arc."""
-    if not is_critical(graph, weights, cycle):
+    arcs = _cycle_arcs(graph, cycle)
+    if sum(weights.t[k] for k in arcs) != 0:
         return False
-    return all(
-        graph.arcs[(u, v)] == 1
-        for u, v in zip(cycle, cycle[1:])
-        if (u, v) not in graph.boundary_arcs
-    )
+    return all(graph.spin[k] == 1 for k in arcs if not graph.boundary[k])
 
 
 @dataclass(frozen=True)
@@ -182,6 +207,8 @@ def to_orientation(cg: ComponentGraph, weights: ArcWeights, hf: HeightFunction) 
     arcs = frozenset(edge_direction(cg, hf.h, arc) for arcs in cg.neighbors for arc in arcs)
     # Quotients of tiling graphs are acyclic.  Every quotient arc joins two
     # components, so a cycle would be a strong component of two or more.
-    n = len(cg.components)
-    assert len(_strongly_connected_components(range(n), arcs)) == n, "orientation has a cycle"
+    out = [[] for _ in cg.components]
+    for i, j in arcs:
+        out[i].append(j)
+    assert len(_strongly_connected_components(out)) == len(out), "orientation has a cycle"
     return Orientation(arcs=arcs)

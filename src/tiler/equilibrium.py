@@ -9,7 +9,7 @@ lower one is -t of the reversed arc.
 
 from __future__ import annotations
 
-from collections import deque
+from array import array
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -40,17 +40,25 @@ class EquilibriumFunction:
 
 @dataclass
 class ArcWeights:
-    """Per-arc upper height difference t and the eq = 0 spanning tree.
+    """Per-arc upper height difference t and the eq = 0 spanning tree, on
+    the integer ids of `graph`.
 
-    The spin sp of an arc is stored on the graph, in `FigureGraph.arcs`.
-    On boundary arcs t = eq + sp; elsewhere t = eq - sp + 2.  The lower
+    `t[k]` is t of arc k; the spin is the graph's, `graph.spin[k]`.  On
+    boundary arcs t = eq + sp; elsewhere t = eq - sp + 2.  The lower
     difference of an arc is b(u, v) = -t(v, u): t itself on boundary arcs
-    and t - 4 elsewhere.
+    and t - 4 elsewhere, so b of arc k is -t[graph.rev[k]].  `tree` lists,
+    in BFS order from w0, the arc from its parent into each other vertex.
     """
 
-    t: dict
-    tree_parent: dict  # vertex -> parent vertex (w0 -> None)
-    tree_order: list  # BFS order from w0
+    t: list
+    tree: array
+    graph: FigureGraph = field(repr=False, compare=False)
+
+    @property
+    def tree_order(self) -> list:
+        """The tree's vertices as GridVertex, in BFS order from w0."""
+        vs, head = self.graph.vertices, self.graph.head
+        return [self.graph.w0] + [vs[head[k]] for k in self.tree]
 
 
 def build_cut_lines(graph: FigureGraph):
@@ -95,25 +103,29 @@ def step_values(graph: FigureGraph, cutlines) -> dict:
 
 
 def make_weights(graph: FigureGraph, eqfn: EquilibriumFunction):
-    """Store t per arc, keyed by the graph's own arc tuples (see ArcWeights),
-    and the eq = 0 spanning tree; raise TilerError if that tree does not span
-    the graph.  b and eq - sp are read off t and the spins where needed."""
-    boundary = graph.boundary_arcs
-    t = {a: eqfn(a) + s if a in boundary else eqfn(a) - s + 2 for a, s in graph.arcs.items()}
+    """Store t per arc (see ArcWeights) and the eq = 0 spanning tree; raise
+    TilerError if that tree does not span the graph.  b and eq - sp are read
+    off t and the spins where needed."""
+    eq = [0] * len(graph.head)
+    for (u, v), val in eqfn.values.items():
+        eq[graph.arc_id(u, v)] = val
+    t = [e + s if b else e - s + 2 for e, s, b in zip(eq, graph.spin, graph.boundary)]
 
-    tree_parent = {graph.w0: None}
-    tree_order = [graph.w0]
-    queue = deque(tree_order)
-    while queue:
-        u = queue.popleft()
-        for v in graph.adjacency[u]:
-            if v not in tree_parent and eqfn((u, v)) == 0:
-                tree_parent[v] = u
-                tree_order.append(v)
-                queue.append(v)
-    if len(tree_order) != len(graph.vertices):
+    off, head = graph.offsets, graph.head
+    seen = bytearray(len(graph.vertices))
+    seen[0] = 1
+    order = [0]  # from w0, id 0
+    tree = array("i")
+    for u in order:  # order grows while it is walked
+        for k in range(off[u], off[u + 1]):
+            v = head[k]
+            if not seen[v] and eq[k] == 0:
+                seen[v] = 1
+                order.append(v)
+                tree.append(k)
+    if len(order) != len(graph.vertices):
         raise TilerError("eq = 0 arcs do not span the figure graph")
-    return ArcWeights(t, tree_parent, tree_order)
+    return ArcWeights(t, tree, graph)
 
 
 def build_equilibrium(graph: FigureGraph):

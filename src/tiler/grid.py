@@ -10,8 +10,9 @@ vertex copies so that every contour is an elementary cycle.
 
 from __future__ import annotations
 
-from collections import deque
+from array import array
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple, Optional
 
 from .errors import (
@@ -44,8 +45,8 @@ class GridVertex(NamedTuple):
         return (self.x, self.y)
 
 
-# An arc is an ordered pair of GridVertex, a key of FigureGraph.arcs; a cycle
-# is a vertex list with first == last.
+# At the API edge an arc is an ordered pair of GridVertex, a key of
+# FigureGraph.arcs, and a cycle is a vertex list with first == last.
 Arc = tuple
 Cycle = list
 
@@ -100,18 +101,31 @@ def make_figure(cells) -> Figure:
     height = max(ys) - min(ys) + 1
     if width > MAX_EXTENT or height > MAX_EXTENT:
         raise ParseError(f"bounding box exceeds {MAX_EXTENT}x{MAX_EXTENT}")
-    seen = {next(iter(sorted(cells)))}
-    queue = deque(seen)
-    while queue:
-        c = queue.popleft()
-        for dx, dy in DIRECTIONS:
-            nb = Cell(c.x + dx, c.y + dy)
-            if nb in cells and nb not in seen:
-                seen.add(nb)
-                queue.append(nb)
-    if seen != cells:
+    figure = Figure(cells, min(xs), min(ys), width, height)
+    todo, rows = _padded_box(figure)  # 1 on each cell not reached yet
+    reached = [todo.index(1)]
+    todo[reached[0]] = 0
+    for k in reached:  # reached grows while it is walked
+        for nb in (k - rows, k - 1, k + 1, k + rows):
+            if todo[nb]:
+                todo[nb] = 0
+                reached.append(nb)
+    if len(reached) != len(cells):
         raise NotConnected("cells are not 4-connected")
-    return Figure(cells, min(xs), min(ys), width, height)
+    return figure
+
+
+def _padded_box(figure: Figure):
+    """The figure's bounding box padded by one cell, as (inside, rows):
+    cell (x, y) has the column-major key (x - min_x + 1) * rows +
+    (y - min_y + 1), so key order is (x, y) order, and inside[key] is 1
+    on a figure cell."""
+    rows = figure.height + 2
+    inside = bytearray((figure.width + 2) * rows)
+    x0, y0 = figure.min_x - 1, figure.min_y - 1
+    for x, y in figure.cells:
+        inside[(x - x0) * rows + y - y0] = 1
+    return inside, rows
 
 
 def parse_figure(text: str) -> Figure:
@@ -150,14 +164,32 @@ class Hole:
 
 @dataclass
 class FigureGraph:
-    """Symmetric directed graph of a figure, after vertex duplication."""
+    """Symmetric directed graph of a figure, after vertex duplication, on
+    dense integer ids.
+
+    Vertex ids are 0..V-1 in sorted GridVertex order, so id order is vertex
+    order; `vertices` maps an id to its GridVertex and `index` back.  Arc ids
+    are in CSR order: the arcs leaving vertex u are offsets[u] <= k <
+    offsets[u + 1], by increasing head.  Each per-arc fact is stored once, in
+    one array indexed by arc id: the head, the spin (+1 with a white cell on
+    the left), the boundary flag (no figure cell across the side), the id of
+    the reverse arc, and the side as a sorted pair of lattice points (one
+    tuple per side, shared by its two arcs).
+
+    `arcs`, `adjacency` and `boundary_arcs` are GridVertex views of these
+    arrays for callers outside the integer core, built on first access.
+    """
 
     figure: Figure
-    arcs: dict  # arc -> its spin, +1 with a white cell on its left
-    adjacency: dict  # vertex -> sorted heads of its arcs; keys are the vertices
-    boundary_arcs: frozenset
+    vertices: tuple  # id -> GridVertex; id 0 is w0
+    index: dict  # GridVertex -> id
+    offsets: list  # tail id -> id of its first arc; offsets[V] is the arc count
+    head: list
+    spin: list
+    boundary: list
+    rev: array  # 'i': 4 bytes per arc, where a list would also hold an int object each
+    axis: list
     holes: list
-    w0: GridVertex
     outer_contour: Cycle  # counterclockwise around the figure, from w0
     _dup: dict = field(repr=False)  # pinch point -> "NE/SW" or "NW/SE"
     _comp_of_cell: dict = field(repr=False)
@@ -166,8 +198,44 @@ class FigureGraph:
     sides: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
-    def vertices(self):
-        return self.adjacency.keys()
+    def w0(self) -> GridVertex:
+        """The least vertex, where heights are 0.  It is on the outer
+        contour: no cell lies left of the figure's leftmost column."""
+        return self.vertices[0]
+
+    def tails(self) -> list:
+        """Tail id of every arc, in arc id order."""
+        head = self.head
+        return [head[r] for r in self.rev]
+
+    def arc_id(self, u, v) -> int:
+        """Id of the arc u -> v between two GridVertex."""
+        i, j = self.index.get(u), self.index.get(v)
+        if i is not None:
+            for k in range(self.offsets[i], self.offsets[i + 1]):
+                if self.head[k] == j:
+                    return k
+        raise ArcNotInFigure(f"{(u, v)} is not an arc of the figure")
+
+    @cached_property
+    def arcs(self) -> dict:
+        """View: arc (u, v) -> its spin, in arc id order."""
+        vs = self.vertices
+        return {(vs[u], vs[v]): s for u, v, s in zip(self.tails(), self.head, self.spin)}
+
+    @cached_property
+    def adjacency(self) -> dict:
+        """View: vertex -> the sorted heads of its arcs."""
+        vs, off, head = self.vertices, self.offsets, self.head
+        return {v: tuple(vs[w] for w in head[off[u] : off[u + 1]]) for u, v in enumerate(vs)}
+
+    @cached_property
+    def boundary_arcs(self) -> frozenset:
+        """View: the arcs along the figure's contours, both ways."""
+        vs = self.vertices
+        return frozenset(
+            (vs[u], vs[v]) for u, v, b in zip(self.tails(), self.head, self.boundary) if b
+        )
 
     def vertex(self, p, d) -> GridVertex:
         """Vertex copy at lattice point p attached to the edge leaving in
@@ -188,120 +256,139 @@ class FigureGraph:
 
     @property
     def boundary_vertices(self) -> frozenset:
-        return frozenset(v for a in self.boundary_arcs for v in a)
+        # Every boundary arc's reverse is one too, so the heads are all ends.
+        vs = self.vertices
+        return frozenset(vs[v] for v, b in zip(self.head, self.boundary) if b)
+
+
+# The moves from a lattice point in the order of their heads' ids, and per
+# pinch pattern the copy of the pinch point that owns each move: copy 0
+# takes N and E at a "NE/SW" pinch, N and W at a "NW/SE" one.
+_MOVES = (W, S, N, E)
+_OWNER = {"NE/SW": (1, 1, 0, 0), "NW/SE": (0, 1, 0, 1)}
 
 
 def _vertex_copy(dup, p, d) -> GridVertex:
     """FigureGraph.vertex over the pinch map dup, usable before the graph
     is built."""
     pattern = dup.get((p[0], p[1]))
-    if pattern is None:
-        return GridVertex(p[0], p[1], 0)
-    if pattern == "NE/SW":
-        copy = 0 if d in (N, E) else 1
-    else:  # "NW/SE"
-        copy = 0 if d in (N, W) else 1
+    copy = _OWNER[pattern][_MOVES.index(d)] if pattern else 0
     return GridVertex(p[0], p[1], copy)
 
 
-# A cell's corners counterclockwise from its lower-left one, each with the
-# direction of the side leaving it (which picks the corner's copy at a pinch)
-# and the offset of the cell across that side.
-_CORNERS = (
-    ((0, 0), E, (0, -1)),
-    ((1, 0), N, (1, 0)),
-    ((1, 1), W, (0, 1)),
-    ((0, 1), S, (-1, 0)),
-)
+# Spins of the moves W, S, N, E from a lattice point with x + y even, odd:
+# the cell on the left of W and E has the point's colour, of S and N the
+# other one.
+_SPINS = ((-1, 1, 1, -1), (1, -1, -1, 1))
 
 
-def _complement_components(figure: Figure):
-    """8-connected components of the complement inside a 1-cell pad of the
-    bounding box, as (hole cell sets, cell -> hole id).
+def _complement_components(inside, rows):
+    """8-connected components of the complement in the padded box (see
+    `_padded_box`): a label per cell key (None for the infinite component, the
+    hole id for a hole cell, -1 for a figure cell) and each hole's keys.
 
     The first flood starts at the pad corner; the pad ring is connected, so
     that flood is the infinite component and every later one is a hole.
+    Column-major keys wrap from one column's top pad cell to the next one's
+    bottom pad cell, which joins pad cells only.
     """
-    cells = figure.cells
-    x0, y0 = figure.min_x - 1, figure.min_y - 1
-    x1, y1 = figure.min_x + figure.width, figure.min_y + figure.height
+    size = len(inside)
+    steps = (-rows - 1, -rows, -rows + 1, -1, 1, rows - 1, rows, rows + 1)
+    label = [-1] * size
 
-    def flood(start, mark, value):
+    def flood(start, value):
+        label[start] = value
         comp = [start]
-        mark[start] = value
-        for cx, cy in comp:
-            for dx in (-1, 0, 1):
-                for dy in (-1, 0, 1):
-                    nb = Cell(cx + dx, cy + dy)
-                    if (
-                        x0 <= nb.x <= x1
-                        and y0 <= nb.y <= y1
-                        and nb not in cells
-                        and nb not in mark
-                    ):
-                        mark[nb] = value
-                        comp.append(nb)
+        for k in comp:  # comp grows while it is walked
+            for s in steps:
+                n = k + s
+                if 0 <= n < size and label[n] == -1 and not inside[n]:
+                    label[n] = value
+                    comp.append(n)
         return comp
 
-    outside = {}
-    flood(Cell(x0, y0), outside, None)
-    hole_cells = []
-    comp_of_cell = {}
-    for sx in range(x0, x1 + 1):
-        for sy in range(y0, y1 + 1):
-            start = Cell(sx, sy)
-            if start in cells or start in outside or start in comp_of_cell:
-                continue
-            comp = flood(start, comp_of_cell, len(hole_cells))
-            hole_cells.append(frozenset(comp))
-    return hole_cells, comp_of_cell
+    flood(0, None)
+    holes = []
+    for k in range(size):
+        if label[k] == -1 and not inside[k]:
+            holes.append(flood(k, len(holes)))
+    return label, holes
 
 
 def build_graph(figure: Figure) -> FigureGraph:
-    cells = figure.cells
-    hole_cells, comp_of_cell = _complement_components(figure)
+    # Cells by their keys in the padded bounding box (see `_padded_box`),
+    # x0 and y0 being the pad's corner; a lattice point has the key of the
+    # cell on its upper right.
+    inside, rows = _padded_box(figure)
+    x0, y0 = figure.min_x - 1, figure.min_y - 1
+    label, hole_keys = _complement_components(inside, rows)
 
-    # Pinch points: exactly two diagonally opposite quadrant cells present.
-    # The upper of the two cells has the pinch as its lower-left (NE/SW) or
-    # lower-right (NW/SE) corner, so each pinch is found once.
-    dup = {}
-    for x, y in cells:
-        if Cell(x, y - 1) in cells:
+    # Vertex ids in (x, y, copy) order.  A point where exactly two
+    # diagonally opposite cells are present is a pinch and has two copies.
+    # Reads left of or below the box land on pad cells, which are empty.
+    first = [-1] * len(inside)  # point key -> id of its copy 0
+    pinch = {}  # pinch point key -> "NE/SW" or "NW/SE"
+    vertices, keys, points = [], [], []  # per id: GridVertex, point key, (x, y)
+    index = {}
+    for p in range(rows + 1, len(inside)):
+        ne, nw, sw, se = inside[p], inside[p - rows], inside[p - rows - 1], inside[p - 1]
+        if not (ne or nw or sw or se):
             continue
-        if Cell(x - 1, y - 1) in cells and Cell(x - 1, y) not in cells:
-            dup[(x, y)] = "NE/SW"
-        if Cell(x + 1, y - 1) in cells and Cell(x + 1, y) not in cells:
-            dup[(x + 1, y)] = "NW/SE"
+        cx, cy = divmod(p, rows)
+        point = (x0 + cx, y0 + cy)
+        copies = 1
+        if ne == sw != nw == se:
+            pinch[p] = "NE/SW" if ne else "NW/SE"
+            copies = 2
+        for copy in range(copies):
+            i = len(vertices)  # one int object per id, shared by every array
+            v = GridVertex(point[0], point[1], copy)
+            index[v] = i
+            vertices.append(v)
+            keys.append(p)
+            points.append(point)
+            if not copy:
+                first[p] = i
 
-    # One walk over the cells' sides, counterclockwise so that the cell is on
-    # the left and sets the arc's spin.  An inner side is walked once from
-    # each of its cells; a boundary side gives both arcs, of opposite spins,
-    # and the figure-on-the-left one is keyed in f_on_left by its tail.
-    vertices = {}  # each vertex copy once: equal copies are one object
-    arcs = {}
-    boundary_arcs = set()
-    f_on_left = {}  # tail vertex -> (head vertex, hole id or None)
-    for x, y in cells:
-        s = -1 if is_black((x, y)) else 1
-        ring = []
-        for (px, py), d, _ in _CORNERS:
-            v = _vertex_copy(dup, (x + px, y + py), d)
-            ring.append(vertices.setdefault(v, v))
-        for k, (_, _, (ox, oy)) in enumerate(_CORNERS):
-            u, v = ring[k], ring[k - 3]
-            arcs[(u, v)] = s
-            across = Cell(x + ox, y + oy)
-            if across not in cells:
-                arcs[(v, u)] = -s
-                boundary_arcs.add((u, v))
-                boundary_arcs.add((v, u))
-                assert u not in f_on_left, "non-elementary contour at %s" % (u,)
-                f_on_left[u] = (v, comp_of_cell.get(across))
-
-    adjacency = {}
-    for u, v in arcs:
-        adjacency.setdefault(u, []).append(v)
-    adjacency = {u: tuple(sorted(vs)) for u, vs in adjacency.items()}
+    # Arcs in CSR order, one tail at a time, its moves in head order W, S,
+    # N, E.  A W or S arc goes to a lower id, whose arcs are built: its
+    # reverse is that head's E arc, its last, or its N arc, last but at
+    # most one.  Per move: the key step to the head and the key offsets of
+    # the cells on the move's left and right.
+    moves = ((-rows, -rows - 1, -rows), (-1, -1, -rows - 1), (1, -rows, 0), (rows, 0, -1))
+    offsets = [0]
+    head, spin, boundary, rev, axis = [], [], [], array("i"), []
+    f_on_left = {}  # tail id -> (head id, label across) on figure-on-the-left boundary arcs
+    for u, p in enumerate(keys):
+        owner = _OWNER.get(pinch.get(p)) if pinch else None
+        copy = u - first[p]
+        spins = _SPINS[sum(points[u]) & 1]
+        for m, (step, lo, ro) in enumerate(moves):
+            left, right = inside[p + lo], inside[p + ro]
+            if not (left or right) or (owner and owner[m] != copy):
+                continue
+            q = p + step
+            v = first[q]
+            if pinch and q in pinch:
+                v += _OWNER[pinch[q]][3 - m]
+            k = len(head)
+            head.append(v)
+            spin.append(spins[m])
+            boundary.append(left != right)
+            if m < 2:
+                j = offsets[v + 1] - 1
+                if head[j] != u:
+                    j -= 1
+                rev.append(j)
+                rev[j] = k
+                axis.append(axis[j])
+            else:
+                rev.append(-1)  # set with the reverse arc
+                axis.append((points[u], points[v]))
+            if left and not right:
+                assert u not in f_on_left, "non-elementary contour at %s" % (vertices[u],)
+                f_on_left[u] = (v, label[p + ro])
+        offsets.append(len(head))
 
     # Extract contour cycles: one counterclockwise outer contour, one
     # clockwise contour per hole (the complement sits on the walker's right).
@@ -316,38 +403,48 @@ def build_graph(figure: Figure) -> FigureGraph:
         assert comp not in contours, "complement component with two contours"
         contours[comp] = cyc
 
-    def rotate(cyc, start):
-        i = cyc.index(start)
-        return cyc[i:-1] + cyc[: i + 1]
+    def contour(comp):
+        """The contour of a complement component as GridVertex, from its
+        least vertex."""
+        cyc = contours[comp]
+        i = cyc.index(min(cyc))
+        return [vertices[v] for v in cyc[i:-1] + cyc[: i + 1]]
 
-    outer = contours[None]
-    w0 = min(outer)
+    def cell(key):
+        cx, cy = divmod(key, rows)
+        return Cell(x0 + cx, y0 + cy)
 
+    outer = contour(None)
+    assert outer[0] is vertices[0], "least vertex off the outer contour"
     holes = []
-    for hid, hcells in enumerate(hole_cells):
+    comp_of_cell = {}
+    for hid, hkeys in enumerate(hole_keys):
+        hcells = [cell(k) for k in hkeys]
+        comp_of_cell.update(dict.fromkeys(hcells, hid))
         # Walking with the figure on the left keeps the hole on the right,
-        # i.e. contours[hid] is already clockwise around the hole.
-        cw_cyc = rotate(contours[hid], min(contours[hid]))
-        holes.append(Hole(id=hid, cells=hcells, clockwise_contour=cw_cyc))
+        # i.e. its contour is already clockwise around the hole.
+        holes.append(Hole(id=hid, cells=frozenset(hcells), clockwise_contour=contour(hid)))
 
     return FigureGraph(
         figure=figure,
-        arcs=arcs,
-        adjacency=adjacency,
-        boundary_arcs=frozenset(boundary_arcs),
+        vertices=tuple(vertices),
+        index=index,
+        offsets=offsets,
+        head=head,
+        spin=spin,
+        boundary=boundary,
+        rev=rev,
+        axis=axis,
         holes=holes,
-        w0=w0,
-        outer_contour=rotate(outer, w0),
-        _dup=dup,
+        outer_contour=outer,
+        _dup={tuple(cell(p)): pattern for p, pattern in pinch.items()},
         _comp_of_cell=comp_of_cell,
     )
 
 
 def spin(graph: FigureGraph, a) -> int:
     """Spin of an arc of the figure graph."""
-    if a not in graph.arcs:
-        raise ArcNotInFigure(f"{a} is not an arc of the figure")
-    return graph.arcs[a]
+    return graph.spin[graph.arc_id(*a)]
 
 
 def cycle_spin(cycle) -> int:

@@ -59,22 +59,24 @@ def delta(h1: HeightFunction, h2: HeightFunction, components) -> int:
 
 
 def _boundary_heights(graph: FigureGraph, weights: ArcWeights) -> dict:
-    """Integrate g_F = t along the outer contour; every tiling agrees with
-    these values."""
-    t = weights.t
+    """Integrate g_F = t along the outer contour, as vertex id -> height;
+    every tiling agrees with these values."""
+    t, index = weights.t, graph.index
     contour = graph.outer_contour
-    h = {contour[0]: 0}
+    h = {0: 0}  # contour[0] is w0, id 0
     for u, v in zip(contour, contour[1:]):
-        val = h[u] + t[(u, v)]
-        if h.setdefault(v, val) != val:
-            msg = f"outer boundary heights are contradictory: {v} at height {val}, not {h[v]}"
+        val = h[index[u]] + t[graph.arc_id(u, v)]
+        i = index[v]
+        if h.setdefault(i, val) != val:
+            msg = f"outer boundary heights are contradictory: {v} at height {val}, not {h[i]}"
             raise Untileable(msg)
     return h
 
 
 def _extremal_height(graph: FigureGraph, weights: ArcWeights, sign: int):
     """Minimal (sign = +1) or maximal (sign = -1) height function by direct
-    label-correcting relaxation over the signed heights g = sign * h.
+    label-correcting relaxation over the signed heights g = sign * h, a list
+    indexed by vertex id.
 
     The minimal height is the least fixed point of
     g[v] = max_u(g[u] - t(v, u)) above the tree sums of the lower
@@ -91,48 +93,58 @@ def _extremal_height(graph: FigureGraph, weights: ArcWeights, sign: int):
     sum of |h_final - h_start| / 4, the number of 4-steps a worklist moving
     one vertex by 4 at a time makes in any order.  Raises Untileable.
     """
-    t = weights.t
+    t, head, rev, off = weights.t, graph.head, graph.rev, graph.offsets
     lo = sign > 0
-    g, bound = {graph.w0: 0}, {graph.w0: 0}
-    for v in weights.tree_order[1:]:
-        p = weights.tree_parent[v]
-        up, down = t[(p, v)], t[(v, p)]
-        g[v] = g[p] - (down if lo else up)
-        bound[v] = bound[p] + (up if lo else down)
+    n = len(graph.vertices)
+    # Per arc k = (v, u): `pull` is what v reads to be raised by u, `push`
+    # what u reads to be raised by v.  For the minimum they are t of arc k
+    # and t of its reverse; the maximum swaps them.
+    t_back = [t[r] for r in rev]
+    pull, push = (t, t_back) if lo else (t_back, t)
+    g, bound = [0] * n, [0] * n
+    for k in weights.tree:  # parents first
+        v, p = head[k], head[rev[k]]
+        g[v] = g[p] - push[k]
+        bound[v] = bound[p] + pull[k]
     for v, val in _boundary_heights(graph, weights).items():
         g[v] = bound[v] = sign * val
 
-    adj = graph.adjacency
-
-    def pull(v):
-        # The value the neighbours of v force on it.
-        if lo:
-            return max(g[u] - t[(v, u)] for u in adj[v])
-        return max(g[u] - t[(u, v)] for u in adj[v])
-
-    queue = deque(v for v in sorted(graph.vertices) if pull(v) > g[v])
-    inq = set(queue)
+    queue = deque(
+        v for v in range(n)  # id order is vertex order
+        if max([g[head[k]] - pull[k] for k in range(off[v], off[v + 1])]) > g[v]
+    )
+    inq = bytearray(n)
+    for v in queue:
+        inq[v] = 1
     passes = relaxations = 0
     limit = len(graph.figure) ** 2
     while queue:
         v = queue.popleft()
-        inq.discard(v)
-        gv = pull(v)
-        if gv <= g[v]:
+        inq[v] = 0
+        gv = start = g[v]
+        arcs = range(off[v], off[v + 1])
+        for k in arcs:
+            x = g[head[k]] - pull[k]
+            if x > gv:
+                gv = x
+        if gv == start:
             continue
-        passes += (gv - g[v]) // 4
+        passes += (gv - start) // 4
         g[v] = gv
         relaxations += 1
         if relaxations > limit:
             kind = "minimal" if lo else "maximal"
             raise AssertionError(f"{kind}-height relaxation counter exceeded n^2")
         if gv > bound[v]:
-            raise Untileable(f"no tiling: height at {v} passes its bound")
-        for u in adj[v]:
-            if u not in inq and gv - g[u] > (t[(u, v)] if lo else t[(v, u)]):
+            raise Untileable(f"no tiling: height at {graph.vertices[v]} passes its bound")
+        for k in arcs:
+            u = head[k]
+            if not inq[u] and gv - g[u] > push[k]:
                 queue.append(u)
-                inq.add(u)
-    return HeightFunction(graph, g if lo else {v: -x for v, x in g.items()}), passes
+                inq[u] = 1
+    if not lo:
+        g = [-x for x in g]
+    return HeightFunction(graph, dict(zip(graph.vertices, g))), passes
 
 
 def minimal_height(graph: FigureGraph, weights: ArcWeights):

@@ -8,7 +8,6 @@ they are in bijection with tilings.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .equilibrium import ArcWeights
@@ -42,11 +41,6 @@ def axis_cells(axis):
     if x2 == x1 + 1:  # horizontal axis, vertical domino
         return Cell(x1, y1 - 1), Cell(x1, y1)
     return Cell(x1 - 1, y1), Cell(x1, y1)  # vertical axis, horizontal domino
-
-
-def arc_axis_key(a):
-    u, v = a
-    return tuple(sorted(((u.x, u.y), (v.x, v.y))))
 
 
 @dataclass(frozen=True)
@@ -110,50 +104,55 @@ def validate_tiling(graph: FigureGraph, dominoes) -> Tiling:
     return Tiling(axes=frozenset(axes))
 
 
-def g_of_tiling(graph: FigureGraph, weights: ArcWeights, tiling: Tiling) -> dict:
-    """Height difference g_T: t on a spin +1 arc, t - 4 on a spin -1 arc
-    off the boundary; along an axis of T, minus 4 times the spin."""
+def g_of_tiling(graph: FigureGraph, weights: ArcWeights, tiling: Tiling) -> list:
+    """Height difference g_T per arc id: t on a spin +1 arc, t - 4 on a spin
+    -1 arc off the boundary; along an axis of T, minus 4 times the spin."""
     axes = tiling.axes
-    t = weights.t
-    boundary = graph.boundary_arcs
-    g = {}
-    for a, s in graph.arcs.items():
-        d = t[a] - 4 * s if arc_axis_key(a) in axes else t[a]
-        g[a] = d - 4 if s < 0 and a not in boundary else d
-    return g
+    return [
+        (tk - 4 * s if side in axes else tk) - (4 if s < 0 and not b else 0)
+        for tk, s, b, side in zip(weights.t, graph.spin, graph.boundary, graph.axis)
+    ]
 
 
 def height_of_tiling(graph: FigureGraph, weights: ArcWeights, tiling: Tiling):
     """Integrate g_T from w0; the sum is path-independent for valid input."""
     g = g_of_tiling(graph, weights, tiling)
-    h = {graph.w0: 0}
-    queue = deque([graph.w0])
-    while queue:
-        u = queue.popleft()
-        for v in graph.adjacency[u]:
-            if v not in h:
-                h[v] = h[u] + g[(u, v)]
-                queue.append(v)
-    for (u, v), val in g.items():
-        if h[v] - h[u] != val:
-            raise InconsistentCycle(f"g_T has a nonzero cycle through {(u, v)}")
-        if val != weights.t[(u, v)] and val != -weights.t[(v, u)]:
-            raise InconsistentCycle(f"g_T({(u, v)}) outside {{b, t}}")
-    return HeightFunction(graph, h)
+    t, head, rev, off, vs = weights.t, graph.head, graph.rev, graph.offsets, graph.vertices
+    h = [None] * len(vs)
+    h[0] = 0  # w0
+    order = [0]
+    for u in order:  # breadth first; order grows while it is walked
+        for k in range(off[u], off[u + 1]):
+            v = head[k]
+            if h[v] is None:
+                h[v] = h[u] + g[k]
+                order.append(v)
+    for u, hu in enumerate(h):
+        for k in range(off[u], off[u + 1]):
+            val = g[k]
+            if h[head[k]] - hu != val:
+                a = (vs[u], vs[head[k]])
+                raise InconsistentCycle(f"g_T has a nonzero cycle through {a}")
+            if val != t[k] and val != -t[rev[k]]:
+                raise InconsistentCycle(f"g_T({(vs[u], vs[head[k]])}) outside {{b, t}}")
+    return HeightFunction(graph, dict(zip(vs, h)))
 
 
 def tiling_of_height(graph: FigureGraph, weights: ArcWeights, hf: HeightFunction) -> Tiling:
     """The unique tiling whose height function is hf: every difference is t
     or b = -t of the reversed arc, and the axes are the spin +1 arcs off t."""
-    t, sp = weights.t, graph.arcs
+    vs = graph.vertices
+    h = list(map(hf.h.__getitem__, vs))
+    t, head, rev, off = weights.t, graph.head, graph.rev, graph.offsets
     axes = set()
-    for a, ta in t.items():
-        u, v = a
-        d = hf.h[v] - hf.h[u]
-        if d != ta:
-            if d != -t[(v, u)]:
-                raise NotAHeightFunction(f"difference {d} on arc {a} outside {{b, t}}")
-            if sp[a] > 0:
-                axes.add(arc_axis_key(a))
-    dominoes = [axis_cells(axis) for axis in axes]
+    for u, hu in enumerate(h):
+        for k in range(off[u], off[u + 1]):
+            d = h[head[k]] - hu
+            if d != t[k]:
+                if d != -t[rev[k]]:
+                    a = (vs[u], vs[head[k]])
+                    raise NotAHeightFunction(f"difference {d} on arc {a} outside {{b, t}}")
+                if graph.spin[k] > 0:
+                    axes.add(graph.axis[k])
+    dominoes = [axis_cells(side) for side in axes]
     return validate_tiling(graph, dominoes)

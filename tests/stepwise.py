@@ -39,7 +39,6 @@ from tiler.lattice import (
 )
 from tiler.tiling import (
     HeightFunction,
-    arc_axis_key,
     axis_cells,
     height_of_tiling,
     tiling_of_height,
@@ -47,26 +46,38 @@ from tiler.tiling import (
 )
 
 
-def _tree_sums(weights, table):
+def arc_axis_key(a):
+    """The side of an arc (u, v) of GridVertex, as its sorted lattice points."""
+    u, v = a
+    return tuple(sorted(((u.x, u.y), (v.x, v.y))))
+
+
+def arc_t(graph, weights):
+    """t keyed by the arcs (u, v) of GridVertex."""
+    return dict(zip(graph.arcs, weights.t))
+
+
+def _tree_sums(graph, weights, table):
     """Heights from w0 along the eq = 0 tree, adding table on each tree arc."""
-    out = {}
-    for v in weights.tree_order:
-        p = weights.tree_parent[v]
-        out[v] = 0 if p is None else out[p] + table[(p, v)]
+    out = {graph.w0: 0}
+    vs, head, rev = graph.vertices, graph.head, graph.rev
+    for k in weights.tree:
+        p, v = vs[head[rev[k]]], vs[head[k]]
+        out[v] = out[p] + table[(p, v)]
     return out
 
 
 def stepwise_extremal_height(graph, weights, sign, pinned=None):
     """(height function, number of ±4 updates); raises Untileable."""
     n = len(graph.figure)
-    t = weights.t
+    t = arc_t(graph, weights)
     b = {(u, v): -t[(v, u)] for u, v in t}
     near, far = (b, t) if sign > 0 else (t, b)
-    fixed = _boundary_heights(graph, weights)
+    fixed = {graph.vertices[i]: val for i, val in _boundary_heights(graph, weights).items()}
     if pinned:
         fixed.update(pinned)
-    h = _tree_sums(weights, near)
-    bound = _tree_sums(weights, far)
+    h = _tree_sums(graph, weights, near)
+    bound = _tree_sums(graph, weights, far)
     for v, val in fixed.items():
         h[v] = bound[v] = val
 
@@ -290,6 +301,7 @@ def reference_forced_components(graph, weights, tiling):
             kinds.append(SINGLE)
     neighbors = [[] for _ in comps]
     seen = set()
+    t = arc_t(graph, weights)
     for u, v in graph.arcs:
         i, j = comp_of[u], comp_of[v]
         if i == j:
@@ -298,8 +310,8 @@ def reference_forced_components(graph, weights, tiling):
             i, j, u, v = j, i, v, u
         if (i, j) not in seen:
             seen.add((i, j))
-            neighbors[i].append((u, v, weights.t[(u, v)]))
-            neighbors[j].append((v, u, weights.t[(v, u)]))
+            neighbors[i].append((u, v, t[(u, v)]))
+            neighbors[j].append((v, u, t[(v, u)]))
     return ComponentGraph(
         components=tuple(comps),
         comp_of=comp_of,

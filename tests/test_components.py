@@ -100,7 +100,7 @@ class TestForcedComponents:
             for u, v, t in arcs:
                 j = cg.comp_of[v]
                 assert cg.comp_of[u] == i != j
-                assert t == weights.t[(u, v)]
+                assert t == weights.t[graph.arc_id(u, v)]
                 assert [a[:2] for a in cg.neighbors[j]].count((v, u)) == 1
                 listed.append((i, j))
         assert sorted(listed) == sorted((i, j) for i, j in pairs if i != j)

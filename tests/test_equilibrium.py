@@ -25,8 +25,8 @@ def assert_t_matches_eqfn(graph, eqfn, weights):
     """The stored t against eq and the graph's spins sp: t = eq + sp on
     boundary arcs and eq - sp + 2 elsewhere.  The derived lower difference
     -t(v, u) is then t on boundary arcs and t - 4 elsewhere."""
-    t, sp = weights.t, graph.arcs
-    assert t.keys() == sp.keys()
+    t, sp = dict(zip(graph.arcs, weights.t)), graph.arcs
+    assert len(weights.t) == len(sp) and t.keys() == sp.keys()
     for u, v in graph.arcs:
         a = (u, v)
         boundary = a in graph.boundary_arcs
@@ -149,9 +149,10 @@ class TestWeights:
     def test_spanning_tree(self, corpus_name):
         _, graph, eqfn, weights = built(corpus_name)
         assert set(weights.tree_order) == set(graph.vertices)
-        for v, p in weights.tree_parent.items():
-            if p is not None:
-                assert eqfn((p, v)) == 0
+        assert len(weights.tree_order) == len(graph.vertices)
+        vs, head, rev = graph.vertices, graph.head, graph.rev
+        for k in weights.tree:
+            assert eqfn((vs[head[rev[k]]], vs[head[k]])) == 0
 
     def test_tree_requirement_raised(self):
         # A potential-shifted equilibrium can have no eq = 0 spanning tree.
@@ -166,9 +167,10 @@ class TestWeights:
     def test_stored_fields(self):
         # b and eq - sp are read off t and the graph's spins, never stored
         # beside them.
-        _, _, _, weights = built("2x2")
+        _, graph, _, weights = built("2x2")
         names = [f.name for f in dataclasses.fields(weights)]
-        assert names == ["t", "tree_parent", "tree_order"]
+        assert names == ["t", "tree", "graph"]
+        assert weights.graph is graph
 
     def test_t_b_structure(self, corpus_name):
         _, graph, eqfn, weights = built(corpus_name)
@@ -177,7 +179,7 @@ class TestWeights:
 
 def test_pipeline_retained_memory():
     """What pipeline() keeps for a 32x32 square, under tracemalloc: at most
-    0.96 KiB per cell, about 10% over the 0.87 measured under CPython 3.11."""
+    0.72 KiB per cell, about 10% over the 0.65 measured under CPython 3.11."""
     n = 32
     pipeline("##")  # one-time caches are not per-figure memory
     gc.collect()
@@ -188,4 +190,20 @@ def test_pipeline_retained_memory():
     finally:
         tracemalloc.stop()
     assert len(kept[0]) == n * n
-    assert retained / 1024 / (n * n) <= 0.96
+    assert retained / 1024 / (n * n) <= 0.72
+
+
+def test_pipeline_retained_gc_objects():
+    """The objects pipeline() keeps for a 32x32 square that the cyclic
+    garbage collector tracks: at most 2.3 per cell, about 10% over the 2.08
+    measured under CPython 3.11.  About 2 are expected, one Cell per cell
+    and one GridVertex per vertex; per-arc data lives in flat arrays."""
+    n = 32
+    pipeline("##")
+    gc.collect()
+    before = len(gc.get_objects())
+    kept = pipeline("\n".join(["#" * n] * n))
+    gc.collect()  # untracks the tuples that hold only untracked objects
+    retained = len(gc.get_objects()) - before
+    assert len(kept[0]) == n * n
+    assert retained / (n * n) <= 2.3

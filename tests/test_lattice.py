@@ -240,7 +240,7 @@ class TestUntileable:
         assert v == graph.outer_contour[0]
         _, graph, _, weights = pipeline(text)
         contour = graph.outer_contour
-        closing = sum(weights.t[a] for a in zip(contour, contour[1:]))
+        closing = sum(weights.t[graph.arc_id(*a)] for a in zip(contour, contour[1:]))
         assert closing != 0
         extremal = minimal_height if sign > 0 else maximal_height
         with pytest.raises(Untileable, match=f"at height {closing}, not 0$"):

@@ -7,16 +7,23 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tiler.components import _strongly_connected_components
-from tiler.equilibrium import verify_equilibrium
+from tiler.equilibrium import build_equilibrium, verify_equilibrium
 from tiler.errors import ParseError, TilerError, Untileable
 from tiler.generation import count_tilings, enumerate_tilings
-from tiler.grid import Cell, build_graph, make_figure, parse_figure, spin_of_move
+from tiler.grid import (
+    Cell,
+    build_graph,
+    left_cell,
+    make_figure,
+    parse_figure,
+    right_cell,
+    spin_of_move,
+)
 from tiler.lattice import compare, maximal_height, minimal_height, OrderRelation
 from tiler.oracle import brute_enumerate
 from tiler.tiling import (
     HeightFunction,
     Tiling,
-    arc_axis_key,
     g_of_tiling,
     height_of_tiling,
     tiling_of_height,
@@ -26,8 +33,10 @@ from .stepwise import (
     assert_components_match_reference,
     assert_flips_match_status,
     assert_samples_match_reference,
+    arc_axis_key,
     assert_successors_match_stepwise,
     outcome,
+    reference_arc_weights,
     reference_g_of_tiling,
     reference_tiling_of_height,
     stepwise_extremal_height,
@@ -180,6 +189,36 @@ def test_figure_graph_from_cells(figure):
     seen += graph.outer_contour + [v for h in graph.holes for v in h.clockwise_contour]
     assert all(held[v] is v for v in seen)
 
+    assert_arc_arrays_match_cells(graph)
+
+
+def assert_arc_arrays_match_cells(graph):
+    """The integer core's arrays against the cells and the stepwise
+    reference: ids in vertex order, each tail's heads increasing, rev an
+    involution that swaps the ends, spins from `spin_of_move`, the boundary
+    flag set iff no figure cell is across the side, one shared axis tuple
+    per side, and t equal to `reference_arc_weights`."""
+    cells = graph.figure.cells
+    vs, off, head, rev = graph.vertices, graph.offsets, graph.head, graph.rev
+    assert list(vs) == sorted(vs) and graph.index == {v: i for i, v in enumerate(vs)}
+    tails = [u for u in range(len(vs)) for _ in range(off[u], off[u + 1])]
+    assert len(tails) == len(head) == len(graph.spin) == len(graph.boundary) == len(rev)
+    for u in range(len(vs)):
+        heads = list(head[off[u] : off[u + 1]])
+        assert heads == sorted(set(heads))
+    for k, (u, v) in enumerate(zip(tails, head)):
+        p, q = vs[u], vs[v]
+        d = (q.x - p.x, q.y - p.y)
+        assert rev[rev[k]] == k
+        assert (tails[rev[k]], head[rev[k]]) == (v, u)
+        assert graph.spin[k] == spin_of_move(p.point, d)
+        figure_sides = sum(c in cells for c in (left_cell(p.point, d), right_cell(p.point, d)))
+        assert figure_sides in (1, 2) and graph.boundary[k] == (figure_sides == 1)
+        assert graph.axis[k] == arc_axis_key((p, q)) and graph.axis[k] is graph.axis[rev[k]]
+    eqfn, weights = build_equilibrium(graph)
+    reference = reference_arc_weights(graph, eqfn)
+    assert [reference[a][3] for a in graph.arcs] == list(weights.t)
+
 
 @settings(max_examples=200, deadline=None)
 @given(masked_figures())
@@ -239,6 +278,13 @@ def test_sampler_matches_reference(figure):
     assert_samples_match_reference(graph, weights, range(50))
 
 
+def g_by_arc(graph, weights, tiling):
+    """g_of_tiling keyed by the arcs (u, v) of GridVertex."""
+    g = g_of_tiling(graph, weights, tiling)
+    assert len(g) == len(graph.arcs)
+    return dict(zip(graph.arcs, g))
+
+
 def _decoded(graph, decode, weights_or_eqfn, h):
     """The tiling a decode returns for the heights h, or its error type."""
     try:
@@ -257,13 +303,13 @@ def test_encode_decode_match_reference(figure, data):
     _, graph, eqfn, weights = pipeline_from_cells(figure.cells)
     tilings = list(enumerate_tilings(graph, weights))
     for tiling in tilings:
-        assert g_of_tiling(graph, weights, tiling) == reference_g_of_tiling(graph, eqfn, tiling)
+        assert g_by_arc(graph, weights, tiling) == reference_g_of_tiling(graph, eqfn, tiling)
         h = height_of_tiling(graph, weights, tiling).h
         assert reference_tiling_of_height(graph, eqfn, HeightFunction(graph, h)) == tiling
     sides = sorted({arc_axis_key(a) for a in graph.arcs})
     for _ in range(5):
         axes = Tiling(axes=frozenset(data.draw(st.lists(st.sampled_from(sides), max_size=8))))
-        assert g_of_tiling(graph, weights, axes) == reference_g_of_tiling(graph, eqfn, axes)
+        assert g_by_arc(graph, weights, axes) == reference_g_of_tiling(graph, eqfn, axes)
     h = height_of_tiling(graph, weights, data.draw(st.sampled_from(tilings))).h
     moved = dict(h)
     moved[data.draw(st.sampled_from(sorted(h)))] += data.draw(st.sampled_from([4, -4]))
@@ -295,10 +341,10 @@ def test_scc_matches_reference(digraph):
     """Kosaraju's components are Tarjan's, and there are n of them exactly
     when the loop-free digraph has a topological order."""
     n, arcs = digraph
-    comps = _strongly_connected_components(range(n), arcs)
     out = {}
     for u, v in arcs:
         out.setdefault(u, []).append(v)
+    comps = _strongly_connected_components([out.get(v, []) for v in range(n)])
     assert {frozenset(c) for c in comps} == {frozenset(c) for c in tarjan_components(range(n), out)}
     assert sorted(v for c in comps for v in c) == list(range(n))
     try:
@@ -311,9 +357,6 @@ def test_scc_matches_reference(digraph):
 
 def pipeline_from_cells(cells):
     """Rebuild the standard pipeline from a cell set (bypassing text)."""
-    from tiler.equilibrium import build_equilibrium
-    from tiler.grid import build_graph, make_figure
-
     figure = make_figure(cells)
     graph = build_graph(figure)
     eqfn, weights = build_equilibrium(graph)

@@ -125,8 +125,11 @@ class TestHeightBijection:
         bad = dict(h.h)
         v = next(u for u in bad if u != graph.w0)
         bad[v] += 1
-        with pytest.raises(NotAHeightFunction):
+        with pytest.raises(NotAHeightFunction) as err:
             tiling_of_height(graph, weights, HeightFunction(graph, bad))
+        # The message names the offending arc by its GridVertex ends.
+        named = [a for a in graph.arcs if repr(a) in str(err.value)]
+        assert len(named) == 1 and v in named[0]
 
     def test_injective(self, enumerable_name):
         heights = enumerated_heights(enumerable_name)
@@ -145,8 +148,9 @@ class TestHeightBijection:
             axes = axes | {((0, 0), (1, 0))}
         else:
             axes = frozenset()
-        with pytest.raises(InconsistentCycle):
+        with pytest.raises(InconsistentCycle) as err:
             height_of_tiling(graph, weights, Tiling(axes=axes))
+        assert len([a for a in graph.arcs if repr(a) in str(err.value)]) == 1
 
 
 class TestHeightInvariants:
@@ -186,7 +190,7 @@ class TestHeightInvariants:
             eqfn2 = perturbed(graph, eqfn, random.Random(7))
             # t is eq plus a fixed per-arc term, so it moves with eq.
             weights2 = dataclasses.replace(
-                weights, t={a: x + eqfn2(a) - eqfn(a) for a, x in weights.t.items()}
+                weights, t=[x + eqfn2(a) - eqfn(a) for a, x in zip(graph.arcs, weights.t)]
             )
             tilings = list(enumerate_tilings(graph, weights))
             hs1 = [height_of_tiling(graph, weights, t) for t in tilings]
