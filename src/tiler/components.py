@@ -28,9 +28,9 @@ def _in_tiling_graph(graph: FigureGraph, weights: ArcWeights, tiling: Tiling) ->
 def tiling_graph(graph: FigureGraph, weights: ArcWeights, tiling: Tiling) -> frozenset:
     """Arcs a with g_T(a) = t(a), as GridVertex pairs; includes every
     boundary arc."""
-    vs = graph.vertices
-    kept = zip(graph.tails(), graph.head, _in_tiling_graph(graph, weights, tiling))
-    return frozenset((vs[u], vs[v]) for u, v, keep in kept if keep)
+    vs, head = graph.vertices, graph.head
+    kept = zip(graph.rev, head, _in_tiling_graph(graph, weights, tiling))
+    return frozenset((vs[head[r]], vs[v]) for r, v, keep in kept if keep)
 
 
 def _strongly_connected_components(out):

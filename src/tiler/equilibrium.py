@@ -40,25 +40,19 @@ class EquilibriumFunction:
 
 @dataclass
 class ArcWeights:
-    """Per-arc upper height difference t and the eq = 0 spanning tree, on
-    the integer ids of `graph`.
+    """Per-arc upper height difference t and the eq = 0 spanning tree, by
+    the arc ids of the figure graph they were made for.
 
     `t[k]` is t of arc k; the spin is the graph's, `graph.spin[k]`.  On
     boundary arcs t = eq + sp; elsewhere t = eq - sp + 2.  The lower
     difference of an arc is b(u, v) = -t(v, u): t itself on boundary arcs
     and t - 4 elsewhere, so b of arc k is -t[graph.rev[k]].  `tree` lists,
-    in BFS order from w0, the arc from its parent into each other vertex.
+    in BFS order from w0, the arc from its parent into each other vertex,
+    so its heads are the ids 1..V-1, each once.
     """
 
     t: list
     tree: array
-    graph: FigureGraph = field(repr=False, compare=False)
-
-    @property
-    def tree_order(self) -> list:
-        """The tree's vertices as GridVertex, in BFS order from w0."""
-        vs, head = self.graph.vertices, self.graph.head
-        return [self.graph.w0] + [vs[head[k]] for k in self.tree]
 
 
 def build_cut_lines(graph: FigureGraph):
@@ -125,7 +119,7 @@ def make_weights(graph: FigureGraph, eqfn: EquilibriumFunction):
                 tree.append(k)
     if len(order) != len(graph.vertices):
         raise TilerError("eq = 0 arcs do not span the figure graph")
-    return ArcWeights(t, tree, graph)
+    return ArcWeights(t, tree)
 
 
 def build_equilibrium(graph: FigureGraph):

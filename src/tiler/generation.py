@@ -5,12 +5,9 @@ from __future__ import annotations
 
 import struct
 
-try:
-    # The same type as hashlib.blake2b; importing hashlib would also load
-    # OpenSSL (_hashlib), several MB of resident memory that is never used.
-    from _blake2 import blake2b
-except ImportError:
-    from hashlib import blake2b
+# The same type as hashlib.blake2b; importing hashlib would also load
+# OpenSSL (_hashlib), several MB of resident memory that is never used.
+from _blake2 import blake2b
 
 from .components import ComponentGraph, forced_components
 from .equilibrium import ArcWeights

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import NamedTuple, Optional
 
 from .errors import (
@@ -45,8 +44,8 @@ class GridVertex(NamedTuple):
         return (self.x, self.y)
 
 
-# At the API edge an arc is an ordered pair of GridVertex, a key of
-# FigureGraph.arcs, and a cycle is a vertex list with first == last.
+# At the API edge an arc is an ordered pair of GridVertex, as taken by
+# FigureGraph.arc_id, and a cycle is a vertex list with first == last.
 Arc = tuple
 Cycle = list
 
@@ -174,10 +173,8 @@ class FigureGraph:
     one array indexed by arc id: the head, the spin (+1 with a white cell on
     the left), the boundary flag (no figure cell across the side), the id of
     the reverse arc, and the side as a sorted pair of lattice points (one
-    tuple per side, shared by its two arcs).
-
-    `arcs`, `adjacency` and `boundary_arcs` are GridVertex views of these
-    arrays for callers outside the integer core, built on first access.
+    tuple per side, shared by its two arcs).  The tail of arc k is
+    head[rev[k]].
     """
 
     figure: Figure
@@ -203,11 +200,6 @@ class FigureGraph:
         contour: no cell lies left of the figure's leftmost column."""
         return self.vertices[0]
 
-    def tails(self) -> list:
-        """Tail id of every arc, in arc id order."""
-        head = self.head
-        return [head[r] for r in self.rev]
-
     def arc_id(self, u, v) -> int:
         """Id of the arc u -> v between two GridVertex."""
         i, j = self.index.get(u), self.index.get(v)
@@ -217,30 +209,12 @@ class FigureGraph:
                     return k
         raise ArcNotInFigure(f"{(u, v)} is not an arc of the figure")
 
-    @cached_property
-    def arcs(self) -> dict:
-        """View: arc (u, v) -> its spin, in arc id order."""
-        vs = self.vertices
-        return {(vs[u], vs[v]): s for u, v, s in zip(self.tails(), self.head, self.spin)}
-
-    @cached_property
-    def adjacency(self) -> dict:
-        """View: vertex -> the sorted heads of its arcs."""
-        vs, off, head = self.vertices, self.offsets, self.head
-        return {v: tuple(vs[w] for w in head[off[u] : off[u + 1]]) for u, v in enumerate(vs)}
-
-    @cached_property
-    def boundary_arcs(self) -> frozenset:
-        """View: the arcs along the figure's contours, both ways."""
-        vs = self.vertices
-        return frozenset(
-            (vs[u], vs[v]) for u, v, b in zip(self.tails(), self.head, self.boundary) if b
-        )
-
     def vertex(self, p, d) -> GridVertex:
         """Vertex copy at lattice point p attached to the edge leaving in
         direction d."""
-        return _vertex_copy(self._dup, p, d)
+        pattern = self._dup.get((p[0], p[1]))
+        copy = _OWNER[pattern][_MOVES.index(d)] if pattern else 0
+        return GridVertex(p[0], p[1], copy)
 
     def complement_component(self, cell) -> Optional[int]:
         """Hole id containing the cell, or None for the infinite component."""
@@ -266,14 +240,6 @@ class FigureGraph:
 # takes N and E at a "NE/SW" pinch, N and W at a "NW/SE" one.
 _MOVES = (W, S, N, E)
 _OWNER = {"NE/SW": (1, 1, 0, 0), "NW/SE": (0, 1, 0, 1)}
-
-
-def _vertex_copy(dup, p, d) -> GridVertex:
-    """FigureGraph.vertex over the pinch map dup, usable before the graph
-    is built."""
-    pattern = dup.get((p[0], p[1]))
-    copy = _OWNER[pattern][_MOVES.index(d)] if pattern else 0
-    return GridVertex(p[0], p[1], copy)
 
 
 # Spins of the moves W, S, N, E from a lattice point with x + y even, odd:

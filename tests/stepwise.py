@@ -29,7 +29,7 @@ from tiler.components import HOLE, INFINITY, SINGLE, ComponentGraph, forced_comp
 from tiler.errors import NotAHeightFunction, Untileable
 from tiler.flips import DOWN, UP, component_status, try_flip_inplace
 from tiler.generation import component_order, enumerate_tilings, plan_update
-from tiler.grid import spin_of_move
+from tiler.grid import left_cell, right_cell, spin_of_move
 from tiler.lattice import (
     _boundary_heights,
     max_tiling,
@@ -46,6 +46,13 @@ from tiler.tiling import (
 )
 
 
+def grid_arcs(graph):
+    """The arcs (u, v) of GridVertex in arc id order, read off the offsets
+    and heads."""
+    vs, off, head = graph.vertices, graph.offsets, graph.head
+    return [(vs[u], vs[head[k]]) for u in range(len(vs)) for k in range(off[u], off[u + 1])]
+
+
 def arc_axis_key(a):
     """The side of an arc (u, v) of GridVertex, as its sorted lattice points."""
     u, v = a
@@ -54,7 +61,7 @@ def arc_axis_key(a):
 
 def arc_t(graph, weights):
     """t keyed by the arcs (u, v) of GridVertex."""
-    return dict(zip(graph.arcs, weights.t))
+    return dict(zip(grid_arcs(graph), weights.t))
 
 
 def _tree_sums(graph, weights, table):
@@ -81,7 +88,9 @@ def stepwise_extremal_height(graph, weights, sign, pinned=None):
     for v, val in fixed.items():
         h[v] = bound[v] = val
 
-    adj = graph.adjacency
+    adj = {}
+    for u, v in t:
+        adj.setdefault(u, []).append(v)
 
     def violating(v):
         hv = h[v]
@@ -302,7 +311,7 @@ def reference_forced_components(graph, weights, tiling):
     neighbors = [[] for _ in comps]
     seen = set()
     t = arc_t(graph, weights)
-    for u, v in graph.arcs:
+    for u, v in grid_arcs(graph):
         i, j = comp_of[u], comp_of[v]
         if i == j:
             continue
@@ -344,13 +353,16 @@ def assert_components_match_reference(graph, weights):
 
 def reference_arc_weights(graph, eqfn):
     """Per arc (eq_r, sp, b, t), from eqfn and the spins: eq_r = eq - sp; on
-    boundary arcs t = b = eq + sp, elsewhere t = eq_r + 2 and b = eq_r - 2."""
+    boundary arcs (one figure cell beside the side) t = b = eq + sp,
+    elsewhere t = eq_r + 2 and b = eq_r - 2."""
+    cells = graph.figure.cells
     out = {}
-    for a in graph.arcs:
+    for a in grid_arcs(graph):
         u, v = a
-        sp = spin_of_move((u.x, u.y), (v.x - u.x, v.y - u.y))
+        p, d = (u.x, u.y), (v.x - u.x, v.y - u.y)
+        sp = spin_of_move(p, d)
         eq_r = eqfn(a) - sp
-        if a in graph.boundary_arcs:
+        if (left_cell(p, d) in cells) != (right_cell(p, d) in cells):
             out[a] = (eq_r, sp, eq_r + 2 * sp, eq_r + 2 * sp)
         else:
             out[a] = (eq_r, sp, eq_r - 2, eq_r + 2)

@@ -25,6 +25,7 @@ from tiler.oracle import bfs_distance, brute_enumerate, generalized_flip_adjacen
 from tiler.tiling import height_of_tiling, tiling_of_height
 
 from .conftest import COUNTS, CORPUS, ENUMERABLE, built
+from .stepwise import grid_arcs
 
 # Chi-square critical value at significance 0.001 with 4 degrees of freedom.
 CHI2_CRIT_4DOF = 18.47
@@ -93,9 +94,10 @@ def test_03_height_invariants():
             for hole in graph.holes:
                 c = hole.clockwise_contour
                 ok = ok and sum(h.h[v] - h.h[u] for u, v in zip(c, c[1:])) == 0
+        boundary_arcs = [a for a, b in zip(grid_arcs(graph), graph.boundary) if b]
         for h1, h2 in itertools.combinations(heights, 2):
             ok = ok and all((x - h2.h[v]) % 4 == 0 for v, x in h1.h.items())
-            for u, v in graph.boundary_arcs:
+            for u, v in boundary_arcs:
                 ok = ok and h1.h[v] - h1.h[u] == h2.h[v] - h2.h[u]
     report(3, ok, "height sums vanish on faces/holes; mod-4 and boundary rigidity")
 
@@ -206,6 +208,14 @@ def test_09_equilibrium_validity():
         fig, graph, eqfn, weights = built(name)
         n = len(fig)
         ok = ok and verify_equilibrium(graph, eqfn)
-        ok = ok and all(abs(eqfn(a)) <= 4 * n for a in graph.arcs)
-        ok = ok and set(weights.tree_order) == set(graph.vertices)
+        ok = ok and all(abs(eqfn(a)) <= 4 * n for a in grid_arcs(graph))
+        # The eq = 0 tree: one arc into each vertex but w0 (id 0), each from
+        # w0 or a vertex the tree reached before.
+        vs, head, rev = graph.vertices, graph.head, graph.rev
+        heads = [head[k] for k in weights.tree]
+        ok = ok and sorted(heads) == list(range(1, len(vs)))
+        reached = {0: -1, **{v: i for i, v in enumerate(heads)}}
+        tails = [head[rev[k]] for k in weights.tree]
+        ok = ok and all(reached[u] < i for i, u in enumerate(tails))
+        ok = ok and all(eqfn((vs[u], vs[v])) == 0 for u, v in zip(tails, heads))
     report(9, ok, "equilibrium verified; bound and spanning tree hold")

@@ -21,6 +21,7 @@ from tiler.lattice import min_tiling, minimal_height
 from tiler.render import render_tiling, tiling_to_json
 
 from .conftest import CORPUS, COUNTS
+from .stepwise import grid_arcs
 
 
 @pytest.fixture
@@ -181,7 +182,7 @@ class TestDiagnostics:
         pairs = sorted(
             {
                 (min(i, j), max(i, j))
-                for i, j in ((cg.comp_of[u], cg.comp_of[v]) for u, v in graph.arcs)
+                for i, j in ((cg.comp_of[u], cg.comp_of[v]) for u, v in grid_arcs(graph))
                 if i != j
             }
         )

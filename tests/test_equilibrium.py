@@ -19,17 +19,18 @@ from tiler.equilibrium import (
 from tiler.errors import TilerError
 
 from .conftest import built
+from .stepwise import grid_arcs
 
 
 def assert_t_matches_eqfn(graph, eqfn, weights):
     """The stored t against eq and the graph's spins sp: t = eq + sp on
     boundary arcs and eq - sp + 2 elsewhere.  The derived lower difference
     -t(v, u) is then t on boundary arcs and t - 4 elsewhere."""
-    t, sp = dict(zip(graph.arcs, weights.t)), graph.arcs
-    assert len(weights.t) == len(sp) and t.keys() == sp.keys()
-    for u, v in graph.arcs:
-        a = (u, v)
-        boundary = a in graph.boundary_arcs
+    arcs = grid_arcs(graph)
+    t, sp = dict(zip(arcs, weights.t)), dict(zip(arcs, graph.spin))
+    assert len(weights.t) == len(graph.spin) == len(arcs)
+    for a, boundary in zip(arcs, graph.boundary):
+        u, v = a
         assert t[a] == (eqfn(a) + sp[a] if boundary else eqfn(a) - sp[a] + 2)
         assert -t[(v, u)] == (t[a] if boundary else t[a] - 4)
 
@@ -39,7 +40,7 @@ def perturbed(graph, eqfn, rng):
     vertex potential."""
     f = {v: 4 * rng.randint(-2, 2) for v in graph.vertices}
     values = {}
-    for u, v in graph.arcs:
+    for u, v in grid_arcs(graph):
         values[(u, v)] = eqfn((u, v)) + f[v] - f[u]
     return EquilibriumFunction(steps=dict(eqfn.steps), values=values)
 
@@ -108,13 +109,13 @@ class TestBuildEquilibrium:
 
     def test_skew_symmetric(self, corpus_name):
         _, graph, eqfn, _ = built(corpus_name)
-        for u, v in graph.arcs:
+        for u, v in grid_arcs(graph):
             assert eqfn((u, v)) == -eqfn((v, u))
 
     def test_bound(self, corpus_name):
         fig, graph, eqfn, _ = built(corpus_name)
         n = len(fig)
-        assert all(abs(eqfn(a)) <= 4 * n for a in graph.arcs)
+        assert all(abs(eqfn(a)) <= 4 * n for a in grid_arcs(graph))
 
     def test_support_is_on_cut_lines(self, corpus_name):
         _, graph, eqfn, _ = built(corpus_name)
@@ -148,17 +149,21 @@ class TestCycleSums:
 class TestWeights:
     def test_spanning_tree(self, corpus_name):
         _, graph, eqfn, weights = built(corpus_name)
-        assert set(weights.tree_order) == set(graph.vertices)
-        assert len(weights.tree_order) == len(graph.vertices)
+        # One arc into each vertex but w0 (id 0), in BFS order: each from w0
+        # or a vertex the tree reached before.
         vs, head, rev = graph.vertices, graph.head, graph.rev
-        for k in weights.tree:
+        heads = [head[k] for k in weights.tree]
+        assert sorted(heads) == list(range(1, len(vs)))
+        reached = {0: -1, **{v: i for i, v in enumerate(heads)}}
+        for i, k in enumerate(weights.tree):
+            assert reached[head[rev[k]]] < i
             assert eqfn((vs[head[rev[k]]], vs[head[k]])) == 0
 
     def test_tree_requirement_raised(self):
         # A potential-shifted equilibrium can have no eq = 0 spanning tree.
         _, graph, eqfn, _ = built("2x2")
         values = {}
-        for u, v in graph.arcs:
+        for u, v in grid_arcs(graph):
             values[(u, v)] = eqfn((u, v)) + 4 * (u.x - v.x)
         bad = EquilibriumFunction(steps={}, values=values)
         with pytest.raises(TilerError):
@@ -167,10 +172,9 @@ class TestWeights:
     def test_stored_fields(self):
         # b and eq - sp are read off t and the graph's spins, never stored
         # beside them.
-        _, graph, _, weights = built("2x2")
+        _, _, _, weights = built("2x2")
         names = [f.name for f in dataclasses.fields(weights)]
-        assert names == ["t", "tree", "graph"]
-        assert weights.graph is graph
+        assert names == ["t", "tree"]
 
     def test_t_b_structure(self, corpus_name):
         _, graph, eqfn, weights = built(corpus_name)

@@ -35,6 +35,7 @@ from .stepwise import (
     assert_samples_match_reference,
     arc_axis_key,
     assert_successors_match_stepwise,
+    grid_arcs,
     outcome,
     reference_arc_weights,
     reference_g_of_tiling,
@@ -70,7 +71,7 @@ def test_equilibrium_always_valid(figure):
     assert verify_equilibrium(graph, eqfn)
     assert_t_matches_eqfn(graph, eqfn, weights)
     n = len(figure)
-    assert all(abs(eqfn(a)) <= 4 * n for a in graph.arcs)
+    assert all(abs(eqfn(a)) <= 4 * n for a in grid_arcs(graph))
 
 
 @settings(max_examples=60, deadline=None)
@@ -159,15 +160,15 @@ def test_figure_graph_from_cells(figure):
         return frozenset(((a[0].x, a[0].y), (a[1].x, a[1].y)))
 
     sides = Counter(s for c in cells for s in cell_sides(c))
-    assert {edge(a) for a in graph.arcs} == set(sides)
+    arcs = grid_arcs(graph)
+    assert {edge(a) for a in arcs} == set(sides)
     assert all(
         s == spin_of_move((u.x, u.y), (v.x - u.x, v.y - u.y))
-        for (u, v), s in graph.arcs.items()
+        for (u, v), s in zip(arcs, graph.spin)
     )
-    assert {edge(a) for a in graph.boundary_arcs} == {
-        s for s, n in sides.items() if n == 1
-    }
-    assert all((v, u) in graph.boundary_arcs for u, v in graph.boundary_arcs)
+    boundary_arcs = {a for a, b in zip(arcs, graph.boundary) if b}
+    assert {edge(a) for a in boundary_arcs} == {s for s, n in sides.items() if n == 1}
+    assert all((v, u) in boundary_arcs for u, v in boundary_arcs)
 
     points = {p for s in sides for p in s}
     split = {(v.x, v.y) for v in graph.vertices if v.copy == 1}
@@ -181,11 +182,10 @@ def test_figure_graph_from_cells(figure):
         pinch = (ne and sw and not nw and not se) or (nw and se and not ne and not sw)
         assert ((x, y) in split) == pinch
 
-    assert len(graph.holes) == len(graph.arcs) // 2 - len(graph.vertices) - len(cells) + 1
+    assert len(graph.holes) == len(arcs) // 2 - len(graph.vertices) - len(cells) + 1
 
     held = {v: v for v in graph.vertices}
-    seen = [v for a in graph.arcs for v in a]
-    seen += [v for u, vs in graph.adjacency.items() for v in (u, *vs)]
+    seen = list(graph.index)
     seen += graph.outer_contour + [v for h in graph.holes for v in h.clockwise_contour]
     assert all(held[v] is v for v in seen)
 
@@ -217,7 +217,7 @@ def assert_arc_arrays_match_cells(graph):
         assert graph.axis[k] == arc_axis_key((p, q)) and graph.axis[k] is graph.axis[rev[k]]
     eqfn, weights = build_equilibrium(graph)
     reference = reference_arc_weights(graph, eqfn)
-    assert [reference[a][3] for a in graph.arcs] == list(weights.t)
+    assert [reference[a][3] for a in grid_arcs(graph)] == list(weights.t)
 
 
 @settings(max_examples=200, deadline=None)
@@ -281,8 +281,9 @@ def test_sampler_matches_reference(figure):
 def g_by_arc(graph, weights, tiling):
     """g_of_tiling keyed by the arcs (u, v) of GridVertex."""
     g = g_of_tiling(graph, weights, tiling)
-    assert len(g) == len(graph.arcs)
-    return dict(zip(graph.arcs, g))
+    arcs = grid_arcs(graph)
+    assert len(g) == len(arcs)
+    return dict(zip(arcs, g))
 
 
 def _decoded(graph, decode, weights_or_eqfn, h):
@@ -306,7 +307,7 @@ def test_encode_decode_match_reference(figure, data):
         assert g_by_arc(graph, weights, tiling) == reference_g_of_tiling(graph, eqfn, tiling)
         h = height_of_tiling(graph, weights, tiling).h
         assert reference_tiling_of_height(graph, eqfn, HeightFunction(graph, h)) == tiling
-    sides = sorted({arc_axis_key(a) for a in graph.arcs})
+    sides = sorted({arc_axis_key(a) for a in grid_arcs(graph)})
     for _ in range(5):
         axes = Tiling(axes=frozenset(data.draw(st.lists(st.sampled_from(sides), max_size=8))))
         assert g_by_arc(graph, weights, axes) == reference_g_of_tiling(graph, eqfn, axes)
