@@ -127,9 +127,7 @@ def _cmd_dist(args, figure, graph, eqfn, weights):
         tiling = validate_tiling(graph, dominoes)
         heights.append(height_of_tiling(graph, weights, tiling))
     h1, h2 = heights
-    cg = forced_components(
-        graph, weights, min_tiling(graph, weights)
-    )
+    cg = forced_components(graph, weights, min_tiling(graph, weights))
     dist = flip_distance(h1, h2, cg)
     local = local_flip_connected(graph, h1, h2)
     result = {"format": JSON_FORMAT, "distance": dist, "local_flip_connected": local}
@@ -147,34 +145,28 @@ def _cmd_dist(args, figure, graph, eqfn, weights):
         print(f"local-flip-connected: {str(local).lower()}")
         if args.path:
             for step in result["path"]:
-                rep = cg.representatives[step["component"]]
+                rep = graph.vertices[cg.representatives[step["component"]]]
                 print(f"{step['direction']} {_vertex_str(rep)}")
     return 0
 
 
 def _cmd_components(args, figure, graph, eqfn, weights):
     cg = forced_components(graph, weights, min_tiling(graph, weights))
+    reps = [graph.vertices[r] for r in cg.representatives]
+    rows = list(zip(cg.kinds, map(len, cg.components), reps))
     if args.json:
         out = {
             "format": JSON_FORMAT,
             "components": [
-                {
-                    "kind": cg.kinds[i],
-                    "size": len(cg.components[i]),
-                    "representative": list(cg.representatives[i]),
-                }
-                for i in range(len(cg.components))
+                {"kind": kind, "size": size, "representative": list(rep)}
+                for kind, size, rep in rows
             ],
             "edges": [list(edge) for edge in quotient_edges(cg)],
         }
         print(json.dumps(out))
     else:
-        for i in range(len(cg.components)):
-            rep = _vertex_str(cg.representatives[i])
-            print(
-                f"component {i}: kind={cg.kinds[i]} "
-                f"size={len(cg.components[i])} rep={rep}"
-            )
+        for i, (kind, size, rep) in enumerate(rows):
+            print(f"component {i}: kind={kind} size={size} rep={_vertex_str(rep)}")
         for i, j in quotient_edges(cg):
             print(f"edge: {i} -- {j}")
     return 0

@@ -9,6 +9,7 @@ acyclically, and that orientation determines the tiling.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from graphlib import CycleError, TopologicalSorter
 
 from .equilibrium import ArcWeights
 from .errors import ArcNotInFigure, NotACycle
@@ -33,36 +34,39 @@ def tiling_graph(graph: FigureGraph, weights: ArcWeights, tiling: Tiling) -> fro
     return frozenset((vs[head[r]], vs[v]) for r, v, keep in kept if keep)
 
 
-def _strongly_connected_components(out):
-    """Kosaraju: the strong components of the digraph on 0..n-1 whose
-    successor lists are `out`, as lists of vertices.  Both passes are
-    iterative."""
-    n = len(out)
-    into = [[] for _ in range(n)]
-    for u, succs in enumerate(out):
-        for v in succs:
-            into[v].append(u)
-    # Pass 1: vertices in the order a depth-first search along out finishes them.
+def _strong_components(graph: FigureGraph, weights: ArcWeights, keep):
+    """Kosaraju on the arcs k of the figure graph with keep[k], iterative,
+    on the CSR arrays: the strong components as lists of vertex ids, and per
+    vertex id its height less that of its component's first vertex, the sum
+    of t along kept arcs (along G_T's arcs the height rises by t)."""
+    t, head, rev, off = weights.t, graph.head, graph.rev, graph.offsets
+    n = len(graph.vertices)
+    # Pass 1: vertices in the order a depth-first search along kept arcs
+    # finishes them; next_arc[v] is the first arc of v not yet tried.
     finished = []
     seen = bytearray(n)
+    next_arc = off[:-1]
     for root in range(n):
         if seen[root]:
             continue
         seen[root] = 1
-        stack = [(root, iter(out[root]))]
+        stack = [root]
         while stack:
-            v, succs = stack[-1]
-            for w in succs:
-                if not seen[w]:
+            v = stack[-1]
+            for k in range(next_arc[v], off[v + 1]):
+                w = head[k]
+                if keep[k] and not seen[w]:
+                    next_arc[v] = k + 1
                     seen[w] = 1
-                    stack.append((w, iter(out[w])))
+                    stack.append(w)
                     break
             else:
                 stack.pop()
                 finished.append(v)
     # Pass 2: latest finished first, each unclaimed vertex claims what
-    # reaches it along into; that is exactly its component.
+    # reaches it along kept arcs; that is exactly its component.
     comps = []
+    height = [0] * n
     claimed = bytearray(n)
     for root in reversed(finished):
         if claimed[root]:
@@ -70,87 +74,95 @@ def _strongly_connected_components(out):
         claimed[root] = 1
         comp = [root]
         for v in comp:  # comp grows while it is walked
-            for u in into[v]:
-                if not claimed[u]:
+            hv = height[v]
+            for k in range(off[v], off[v + 1]):
+                u, r = head[k], rev[k]
+                if not claimed[u] and keep[r]:  # arc r runs u -> v
                     claimed[u] = 1
+                    height[u] = hv - t[r]
                     comp.append(u)
         comps.append(comp)
-    return comps
+    return comps, height
 
 
 @dataclass
 class ComponentGraph:
-    """Forced components, their kinds and the quotient graph."""
+    """Forced components on vertex ids, their kinds and the quotient graph.
 
-    components: tuple  # frozensets of vertices
-    comp_of: dict
+    Components are numbered by their least vertex, the representative, so
+    w0's is 0.  A tiling is fixed by H, the list of the representatives'
+    heights: vertex v has height H[comp_of[v]] + offset[v], the same offset
+    for every tiling.  quotient[i] holds a pair (j, c) per quotient edge at
+    i: the edge points out of i iff H[j] - H[i] == c, else H[j] - H[i] == c - 4.
+    """
+
+    components: tuple  # per component, its vertex ids in increasing order
+    comp_of: list  # vertex id -> component
+    offset: list  # vertex id -> its height minus its representative's
     kinds: tuple
-    representatives: tuple
+    representatives: tuple  # vertex ids
     infinity: int
-    # The quotient graph: per component i, (tail, head, t) per quotient edge
-    # at i, tail in i, on the first figure arc met between the two components.
-    neighbors: tuple
+    quotient: tuple
 
 
 def forced_components(graph: FigureGraph, weights: ArcWeights, tiling: Tiling) -> ComponentGraph:
-    """The strong components of G_T, numbered by their least vertex, with
-    their kinds and quotient graph; computed on vertex ids and given back
-    as GridVertex."""
-    t, head, rev, off, vs = weights.t, graph.head, graph.rev, graph.offsets, graph.vertices
-    n = len(vs)
-    keep = _in_tiling_graph(graph, weights, tiling)
-    out = [[head[k] for k in range(off[u], off[u + 1]) if keep[k]] for u in range(n)]
-    comps = sorted(_strongly_connected_components(out), key=min)
-    comp = [0] * n
+    """The strong components of G_T, with their kinds and quotient graph."""
+    t, head, off, boundary = weights.t, graph.head, graph.offsets, graph.boundary
+    comps, offset = _strong_components(graph, weights, _in_tiling_graph(graph, weights, tiling))
+    comps = sorted(map(sorted, comps))  # by least vertex: they are disjoint
+    comp = [0] * len(offset)
     for i, c in enumerate(comps):
+        base = offset[c[0]]
         for v in c:
             comp[v] = i
+            offset[v] -= base
     hole_vertices = {graph.index[v] for h in graph.holes for v in h.clockwise_contour}
     infinity = comp[0]  # w0's
-    kinds = []
+    kinds = [SINGLE if hole_vertices.isdisjoint(c) else HOLE for c in comps]
+    kinds[infinity] = INFINITY
+    single = (c for c, k in zip(comps, kinds) if k == SINGLE)
+    assert all(len(c) == 1 for c in single), "unexpected multi-vertex non-hole component"
+    # Per component, the first arc met to each other component.  Every arc
+    # between two components orients the same way in every tiling, or
+    # they would share a cycle of G_T, so each gives the same c.
+    quotient = []
+    met = [-1] * len(comps)  # the last component that met each one
     for i, c in enumerate(comps):
-        if i == infinity:
-            kinds.append(INFINITY)
-        elif not hole_vertices.isdisjoint(c):
-            kinds.append(HOLE)
-        else:
-            assert len(c) == 1, "unexpected multi-vertex non-hole component"
-            kinds.append(SINGLE)
-    # The first arc met, in arc id order, between each pair of components.
-    m = len(comps)
-    first = {}
-    for u in range(n):
-        i = comp[u]
-        for k in range(off[u], off[u + 1]):
-            j = comp[head[k]]
-            if i != j:
-                assert not graph.boundary[k], "boundary arc between components"
-                pair = i * m + j if i < j else j * m + i
-                if pair not in first:
-                    first[pair] = k
-    neighbors = [[] for _ in comps]
-    for k in first.values():
-        r = rev[k]
-        i, j = comp[head[r]], comp[head[k]]
-        if i > j:  # orient the pair from its lower component
-            i, j, k, r = j, i, r, k
-        tail, tip = vs[head[r]], vs[head[k]]
-        neighbors[i].append((tail, tip, t[k]))
-        neighbors[j].append((tip, tail, t[r]))
+        pairs = []
+        for u in c:
+            for k in range(off[u], off[u + 1]):
+                j = comp[head[k]]
+                if j != i and met[j] != i:
+                    assert not boundary[k], "boundary arc between components"
+                    met[j] = i
+                    pairs.append((j, t[k] - offset[head[k]] + offset[u]))
+        quotient.append(tuple(pairs))
     return ComponentGraph(
-        components=tuple(frozenset([vs[v] for v in c]) for c in comps),
-        comp_of=dict(zip(vs, comp)),
+        components=tuple(map(tuple, comps)),
+        comp_of=comp,
+        offset=offset,
         kinds=tuple(kinds),
-        representatives=tuple(vs[min(c)] for c in comps),
+        representatives=tuple(c[0] for c in comps),
         infinity=infinity,
-        neighbors=tuple(map(tuple, neighbors)),
+        quotient=tuple(quotient),
     )
+
+
+def component_heights(cg: ComponentGraph, hf: HeightFunction) -> list:
+    """H of a height function: its heights at the representatives."""
+    h, vs = hf.h, hf.graph.vertices
+    return [h[vs[r]] for r in cg.representatives]
+
+
+def height_function(graph: FigureGraph, cg: ComponentGraph, heights) -> HeightFunction:
+    """The height function whose representatives have the given heights."""
+    h = {v: heights[i] + o for v, i, o in zip(graph.vertices, cg.comp_of, cg.offset)}
+    return HeightFunction(graph, h)
 
 
 def quotient_edges(cg: ComponentGraph) -> list:
     """The quotient graph's edges (i, j), i < j, in increasing order."""
-    pairs = ((i, cg.comp_of[v]) for i, arcs in enumerate(cg.neighbors) for _, v, _ in arcs)
-    return sorted((i, j) for i, j in pairs if i < j)
+    return sorted((i, j) for i, pairs in enumerate(cg.quotient) for j, _ in pairs if i < j)
 
 
 def _cycle_arcs(graph: FigureGraph, cycle) -> list:
@@ -189,26 +201,29 @@ class Orientation:
     arcs: frozenset  # ordered component index pairs
 
 
-def edge_direction(cg: ComponentGraph, h: dict, arc):
-    """Orientation (i, j) of the quotient edge of triple arc = (u, v, t)."""
-    u, v, t = arc
-    i, j = cg.comp_of[u], cg.comp_of[v]
-    d = h[v] - h[u]
-    if d == t:
+def edge_direction(heights, i: int, j: int, c: int):
+    """Orientation (i, j) or (j, i) of the edge that i lists as (j, c)."""
+    d = heights[j] - heights[i]
+    if d == c:
         return (i, j)
-    # Quotient arcs are never boundary arcs, so the lower difference is t - 4.
-    assert d == t - 4, "arc difference outside {t - 4, t}"
+    # Quotient arcs are never boundary arcs, so the lower difference is c - 4.
+    assert d == c - 4, "arc difference outside {c - 4, c}"
     return (j, i)
 
 
 def to_orientation(cg: ComponentGraph, weights: ArcWeights, hf: HeightFunction) -> Orientation:
     """The acyclic quotient orientation of hf; `weights` is not read."""
-    # Both triples of an edge give its orientation, since b(u, v) = -t(v, u).
-    arcs = frozenset(edge_direction(cg, hf.h, arc) for arcs in cg.neighbors for arc in arcs)
-    # Quotients of tiling graphs are acyclic.  Every quotient arc joins two
-    # components, so a cycle would be a strong component of two or more.
-    out = [[] for _ in cg.components]
+    heights = component_heights(cg, hf)
+    # Both ends of an edge list it, and give the same orientation.
+    arcs = frozenset(
+        edge_direction(heights, i, j, c) for i, pairs in enumerate(cg.quotient) for j, c in pairs
+    )
+    # Quotients of tiling graphs are acyclic.
+    sorter = TopologicalSorter()
     for i, j in arcs:
-        out[i].append(j)
-    assert len(_strongly_connected_components(out)) == len(out), "orientation has a cycle"
+        sorter.add(j, i)
+    try:
+        sorter.prepare()
+    except CycleError:
+        raise AssertionError("orientation has a cycle") from None
     return Orientation(arcs=arcs)

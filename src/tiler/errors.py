@@ -74,7 +74,8 @@ class NotTileable(Untileable):
 
 
 class TooLarge(TilerError):
-    """Figure exceeds the brute-force oracle's cell cap."""
+    """A resource limit is exceeded: the brute-force oracle's cell cap or the
+    sampler's window cap."""
 
 
 class Unreachable(TilerError):

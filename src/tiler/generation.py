@@ -9,9 +9,9 @@ import struct
 # OpenSSL (_hashlib), several MB of resident memory that is never used.
 from _blake2 import blake2b
 
-from .components import ComponentGraph, forced_components
+from .components import ComponentGraph, component_heights, forced_components, height_function
 from .equilibrium import ArcWeights
-from .errors import NotTileable, Untileable
+from .errors import NotTileable, TooLarge, Untileable
 from .flips import DOWN, UP, try_flip_inplace
 from .grid import FigureGraph
 from .lattice import maximal_height, minimal_height
@@ -21,17 +21,15 @@ WINDOW_CAP = 2**32
 
 
 def component_order(cg: ComponentGraph):
-    """Fixed total order of the non-infinity components, by representative.
-
-    `forced_components` sorts the components by their least vertex, which is
-    the representative, so index order is representative order.
-    """
+    """Fixed total order of the non-infinity components: index order, which
+    is representative order, as components are numbered by least vertex."""
     return [i for i in range(len(cg.components)) if i != cg.infinity]
 
 
 def _lex_heights(graph: FigureGraph, weights: ArcWeights):
-    """Yield the height dict of every tiling in lexicographic order; it is
-    one dict, updated in place after each yield.
+    """Yield (forced components, component heights, components moved since
+    the last yield) for every tiling in lexicographic order; the heights
+    are one list, updated in place.
 
     The successor raises the last component in `component_order` that admits
     an upward flip, then flips later components down until none can move.
@@ -45,31 +43,33 @@ def _lex_heights(graph: FigureGraph, weights: ArcWeights):
         return
     cg = forced_components(graph, weights, tiling_of_height(graph, weights, hf))
     order = component_order(cg)
-    h = hf.h
-    yield h
+    heights = component_heights(cg, hf)
+    yield cg, heights, range(len(heights))
     while True:
         for pos in range(len(order) - 1, -1, -1):
-            if try_flip_inplace(cg, h, order[pos], UP):
+            if try_flip_inplace(cg, heights, order[pos], UP):
                 break
         else:
             return
         free = order[pos + 1 :]
-        moved = True
-        while moved:
-            moved = False
-            for i in free:
-                if try_flip_inplace(cg, h, i, DOWN):
-                    moved = True
-        yield h
+        moved, swept = [order[pos]], 0
+        while swept != len(moved):  # sweep until a sweep flips nothing
+            swept = len(moved)
+            moved += [i for i in free if try_flip_inplace(cg, heights, i, DOWN)]
+        yield cg, heights, moved
 
 
 def enumerate_tilings(graph: FigureGraph, weights: ArcWeights):
     """Yield every tiling, starting at the minimum, in lexicographic order.
 
-    One minimal-height relaxation per figure; each successor is then reached
-    by flips (see `_lex_heights`) and decoded.
+    One minimal-height relaxation per figure; each successor is reached by
+    flips (see `_lex_heights`) and decoded from one height dict that moves update.
     """
-    for h in _lex_heights(graph, weights):
+    vs, h = graph.vertices, {}
+    for cg, heights, moved in _lex_heights(graph, weights):
+        for i in moved:
+            for v in cg.components[i]:
+                h[vs[v]] = heights[i] + cg.offset[v]
         yield tiling_of_height(graph, weights, HeightFunction(graph, h))
 
 
@@ -92,46 +92,45 @@ def plan_update(seed: int, when: int, q: int):
 
 
 def _prepare_sampler(graph: FigureGraph, weights: ArcWeights):
-    """What every sample of a figure shares: (min heights, max heights,
-    forced components, component order); the last two are None when the
-    figure has a single tiling."""
+    """What every sample of a figure shares: (min heights, forced components,
+    component order, component heights of the min and of the max); all but
+    the first are None when the figure has a single tiling."""
     try:
         hmin, _ = minimal_height(graph, weights)
     except Untileable as exc:
         raise NotTileable(str(exc)) from exc
     hmax, _ = maximal_height(graph, weights)
     if hmin.h == hmax.h:
-        return hmin, hmax, None, None
+        return hmin, None, None, None, None
     cg = forced_components(graph, weights, tiling_of_height(graph, weights, hmin))
-    return hmin, hmax, cg, component_order(cg)
+    return hmin, cg, component_order(cg), component_heights(cg, hmin), component_heights(cg, hmax)
 
 
 def _draw_sample(graph: FigureGraph, weights: ArcWeights, prepared, seed: int):
     """The CFTP sample of one seed from `_prepare_sampler`'s result.
 
-    After each update the lower chain must stay below the upper one; only
-    the updated component moved, so only its vertices are checked.
+    The chains are component heights.  After each update the lower chain
+    must stay below the upper one; only the updated component moved, so
+    only its height is checked.  Raises TooLarge past WINDOW_CAP updates.
     """
-    hmin, hmax, cg, order = prepared
+    hmin, cg, order, bottom, top = prepared
     if cg is None:
         return tiling_of_height(graph, weights, hmin)
     q = len(order)
     window = 1
     while window <= WINDOW_CAP:
-        lo = dict(hmin.h)
-        hi = dict(hmax.h)
+        lo, hi = bottom[:], top[:]
         for when in range(window, 0, -1):
             pos, direction = plan_update(seed, when, q)
             comp = order[pos]
             try_flip_inplace(cg, lo, comp, direction)
             try_flip_inplace(cg, hi, comp, direction)
-            for v in cg.components[comp]:
-                if lo[v] > hi[v]:
-                    raise AssertionError("CFTP sandwich property violated")
+            if lo[comp] > hi[comp]:
+                raise AssertionError("CFTP sandwich property violated")
         if lo == hi:
-            return tiling_of_height(graph, weights, HeightFunction(graph, lo))
+            return tiling_of_height(graph, weights, height_function(graph, cg, lo))
         window *= 2
-    raise AssertionError("CFTP failed to coalesce within the window cap")
+    raise TooLarge(f"coupling from the past did not coalesce within {WINDOW_CAP} updates")
 
 
 def sample_uniform(graph: FigureGraph, weights: ArcWeights, seed: int):

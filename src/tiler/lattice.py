@@ -55,7 +55,8 @@ def delta(h1: HeightFunction, h2: HeightFunction, components) -> int:
     representative vertex."""
     if not same_figure(h1, h2):
         raise DifferentFigures("delta of heights on different figures")
-    return sum(abs(h1.h[v] - h2.h[v]) for v in components.representatives)
+    vs = h1.graph.vertices
+    return sum(abs(h1.h[vs[r]] - h2.h[vs[r]]) for r in components.representatives)
 
 
 def _boundary_heights(graph: FigureGraph, weights: ArcWeights) -> dict:

@@ -54,7 +54,7 @@ def generalized_flip_adjacency(graph, weights, cg, heights):
     """
     from .flips import apply_flip, available_flips
 
-    reps = cg.representatives
+    reps = [graph.vertices[r] for r in cg.representatives]
     keys = [tuple(hf.h[v] for v in reps) for hf in heights]
     index = {k: i for i, k in enumerate(keys)}
 

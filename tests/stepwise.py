@@ -9,13 +9,18 @@ figures; the tests run it on small ones only.  With `pinned` vertices frozen
 as well it also gives the lexicographic successors that enumeration reaches
 by flips.
 
-`reference_sample` is the coupling-from-the-past loop as `sample_uniform`
-ran it before the one-pass flip test: each chain asks `component_status`
-whether the component may move, and the sandwich is checked with `any`.
-
 `reference_forced_components` is `forced_components` as it was before the
 Kosaraju routine: out-lists of G_T, then an iterative Tarjan with lowlinks
-and an on-stack set.
+and an on-stack set.  It keeps the component graph keyed by GridVertex:
+components as vertex sets, and per component the (tail, head, t) triple of
+one figure arc to each neighbouring component.  The references below flip
+on that graph, with heights in a GridVertex dict: a component moves when
+`reference_status` says no quotient arc blocks it, and all its vertices
+shift by 4.
+
+`reference_sample` is the coupling-from-the-past loop as `sample_uniform`
+ran it before the one-pass flip test and before component heights, and
+`reference_flip_path` the flip path sweep as it ran on height dicts.
 
 `reference_g_of_tiling` and `reference_tiling_of_height` are the encode and
 decode as they were when the weights stored eq_r = eq - sp and b beside t:
@@ -23,12 +28,21 @@ both recompute those from the equilibrium function and the spins.
 """
 
 from collections import deque
+from typing import NamedTuple
 
 from tiler import generation
-from tiler.components import HOLE, INFINITY, SINGLE, ComponentGraph, forced_components, tiling_graph
-from tiler.errors import NotAHeightFunction, Untileable
-from tiler.flips import DOWN, UP, component_status, try_flip_inplace
-from tiler.generation import component_order, enumerate_tilings, plan_update
+from tiler.components import (
+    HOLE,
+    INFINITY,
+    SINGLE,
+    component_heights,
+    forced_components,
+    height_function,
+    tiling_graph,
+)
+from tiler.errors import NotAHeightFunction, TilerError, Untileable
+from tiler.flips import DOWN, UP, Flip, try_flip_inplace
+from tiler.generation import enumerate_tilings, plan_update
 from tiler.grid import left_cell, right_cell, spin_of_move
 from tiler.lattice import (
     _boundary_heights,
@@ -133,17 +147,18 @@ def outcome(fn, *args, **kwargs):
     return hf.h, passes
 
 
-def stepwise_successor(graph, weights, cg, order, h):
+def stepwise_successor(graph, weights, ref, h):
     """Heights of the lexicographic successor of the heights h, computed
-    with pins: the components in `order` before the last one that can flip
-    up keep their heights, that one is pinned 4 higher, and the ±4 worklist
+    with pins: the components before the last one that can flip up keep
+    their heights, that one is pinned 4 higher, and the ±4 worklist
     minimizes the rest.  None if no component can flip up."""
-    up = [k for k, i in enumerate(order) if not component_status(cg, h, i)[0]]
+    order = reference_order(ref)
+    up = [k for k, i in enumerate(order) if not reference_status(ref, h, i)[0]]
     if not up:
         return None
     pos = up[-1]
-    pinned = {v: h[v] for i in order[:pos] for v in cg.components[i]}
-    pinned.update((v, h[v] + 4) for v in cg.components[order[pos]])
+    pinned = {v: h[v] for i in order[:pos] for v in ref.components[i]}
+    pinned.update((v, h[v] + 4) for v in ref.components[order[pos]])
     return stepwise_extremal_height(graph, weights, 1, pinned)[0].h
 
 
@@ -158,19 +173,31 @@ def assert_successors_match_stepwise(graph, weights):
         assert heights == []
         return
     assert heights[0] == first[0]
-    cg = forced_components(graph, weights, tilings[0])
-    order = component_order(cg)
+    ref = reference_forced_components(graph, weights, tilings[0])
     for h, successor in zip(heights, heights[1:] + [None]):
-        assert stepwise_successor(graph, weights, cg, order, h) == successor
+        assert stepwise_successor(graph, weights, ref, h) == successor
 
 
-def _status_flip(cg, h, i, direction):
-    """The flip as decided from `component_status`; True if it applied."""
-    has_in, has_out = component_status(cg, h, i)
+def reference_order(ref):
+    """The non-infinity components in index order."""
+    return [i for i in range(len(ref.components)) if i != ref.infinity]
+
+
+def reference_status(ref, h, i):
+    """(has_incoming, has_outgoing) of component i under the height dict h:
+    a quotient arc points out of i iff its difference is t."""
+    out = [h[v] - h[u] == t for u, v, t in ref.neighbors[i]]
+    return not all(out), any(out)
+
+
+def reference_flip(ref, h, i, direction):
+    """The flip as decided from `reference_status`, on a height dict; True
+    if it applied."""
+    has_in, has_out = reference_status(ref, h, i)
     if has_in if direction == UP else has_out:
         return False
     shift = 4 if direction == UP else -4
-    for v in cg.components[i]:
+    for v in ref.components[i]:
         h[v] += shift
     return True
 
@@ -181,8 +208,8 @@ def reference_sample(graph, weights, seed):
     hmax, _ = maximal_height(graph, weights)
     if hmin.h == hmax.h:
         return tiling_of_height(graph, weights, hmin), 0
-    cg = forced_components(graph, weights, tiling_of_height(graph, weights, hmin))
-    order = component_order(cg)
+    ref = reference_forced_components(graph, weights, tiling_of_height(graph, weights, hmin))
+    order = reference_order(ref)
     updates = 0
     window = 1
     while True:
@@ -192,9 +219,9 @@ def reference_sample(graph, weights, seed):
             pos, direction = plan_update(seed, when, len(order))
             updates += 1
             comp = order[pos]
-            _status_flip(cg, lo, comp, direction)
-            _status_flip(cg, hi, comp, direction)
-            if any(lo[v] > hi[v] for v in cg.components[comp]):
+            reference_flip(ref, lo, comp, direction)
+            reference_flip(ref, hi, comp, direction)
+            if any(lo[v] > hi[v] for v in ref.components[comp]):
                 raise AssertionError("CFTP sandwich property violated")
         if lo == hi:
             return tiling_of_height(graph, weights, HeightFunction(graph, lo)), updates
@@ -221,24 +248,56 @@ def assert_samples_match_reference(graph, weights, seeds):
         generation.plan_update = original
 
 
+def _reference_sweep(ref, h, target, direction, flips):
+    """Flip the components of ref that differ from the height dict target
+    in one direction, in sweeps in index order, until h equals target."""
+    reps = ref.representatives
+    pending = [i for i, v in enumerate(reps) if i != ref.infinity and h[v] != target[v]]
+    while pending:
+        applied = len(flips)
+        left = []
+        for i in pending:
+            if reference_flip(ref, h, i, direction):
+                flips.append(Flip(i, direction))
+                if h[reps[i]] == target[reps[i]]:
+                    continue
+            left.append(i)
+        if len(flips) == applied:
+            raise TilerError("no applicable flip towards the target")
+        pending = left
+
+
+def reference_flip_path(ref, h1, h2):
+    """The flip path from h1 down to inf(h1, h2), then up to h2, on height
+    dicts."""
+    h = dict(h1.h)
+    flips = []
+    _reference_sweep(ref, h, {v: min(x, h2.h[v]) for v, x in h.items()}, DOWN, flips)
+    _reference_sweep(ref, h, h2.h, UP, flips)
+    assert h == h2.h
+    return flips
+
+
 def assert_flips_match_status(graph, weights):
     """On every tiling and every component, in both directions,
-    try_flip_inplace applies exactly the flips component_status allows,
-    moves that component by 4, and leaves h untouched when it refuses."""
+    try_flip_inplace on the component heights applies exactly the flips
+    reference_status allows, moves that component by 4, and leaves the
+    heights untouched when it refuses."""
     tilings = list(enumerate_tilings(graph, weights))
     if not tilings:
         return
     cg = forced_components(graph, weights, tilings[0])
+    ref = reference_forced_components(graph, weights, tilings[0])
     for tiling in tilings:
-        h = height_of_tiling(graph, weights, tiling).h
-        for i in range(len(cg.components)):
+        hf = height_of_tiling(graph, weights, tiling)
+        for i in range(len(ref.components)):
             for direction in (UP, DOWN):
-                expected = dict(h)
-                allowed = _status_flip(cg, expected, i, direction)
-                got = dict(h)
+                expected = dict(hf.h)
+                allowed = reference_flip(ref, expected, i, direction)
+                got = component_heights(cg, hf)
                 assert try_flip_inplace(cg, got, i, direction) == allowed
-                assert got == expected
-                assert (got == h) != allowed
+                assert height_function(graph, cg, got).h == expected
+                assert (got == component_heights(cg, hf)) != allowed
 
 
 def tarjan_components(vertices, out):
@@ -289,8 +348,21 @@ def tarjan_components(vertices, out):
     return comps
 
 
+class ReferenceComponents(NamedTuple):
+    """The forced components keyed by GridVertex."""
+
+    components: tuple  # frozensets of GridVertex
+    comp_of: dict
+    kinds: tuple
+    representatives: tuple  # GridVertex
+    infinity: int
+    # Per component i, (tail, head, t) per neighbouring component, tail in
+    # i, on the first figure arc met between the two components.
+    neighbors: tuple
+
+
 def reference_forced_components(graph, weights, tiling):
-    """The ComponentGraph of forced_components, from Tarjan's components."""
+    """The forced components from Tarjan's components of G_T."""
     out = {}
     for u, v in tiling_graph(graph, weights, tiling):
         out.setdefault(u, []).append(v)
@@ -321,7 +393,7 @@ def reference_forced_components(graph, weights, tiling):
             seen.add((i, j))
             neighbors[i].append((u, v, t[(u, v)]))
             neighbors[j].append((v, u, t[(v, u)]))
-    return ComponentGraph(
+    return ReferenceComponents(
         components=tuple(comps),
         comp_of=comp_of,
         kinds=tuple(kinds),
@@ -333,22 +405,37 @@ def reference_forced_components(graph, weights, tiling):
 
 def assert_components_match_reference(graph, weights):
     """forced_components against the Tarjan reference, from the minimal and
-    the maximal tiling: the same components (as sets), kinds,
-    representatives, infinity and quotient triples in order.  Nothing to
-    compare on an untileable figure."""
+    the maximal tiling: the same components (as sets of vertices, each
+    listed in increasing id order), kinds, representatives and infinity.
+    Each vertex's offset is its height minus its representative's, and the
+    quotient pairs (j, c) of a component are the reference's triples
+    (u, v, t), with c = t less the offsets of u and v, under that tiling's
+    heights.  Nothing to compare on an untileable figure."""
     try:
         tilings = [min_tiling(graph, weights), max_tiling(graph, weights)]
     except Untileable:
         return
+    vs = graph.vertices
     for tiling in tilings:
         cg = forced_components(graph, weights, tiling)
         ref = reference_forced_components(graph, weights, tiling)
-        assert cg.components == ref.components
-        assert cg.comp_of == ref.comp_of
+        h = height_of_tiling(graph, weights, tiling).h
+        assert all(list(c) == sorted(c) for c in cg.components)
+        assert tuple(frozenset(vs[v] for v in c) for c in cg.components) == ref.components
+        assert dict(zip(vs, cg.comp_of)) == ref.comp_of
         assert cg.kinds == ref.kinds
-        assert cg.representatives == ref.representatives
+        assert tuple(vs[r] for r in cg.representatives) == ref.representatives
         assert cg.infinity == ref.infinity
-        assert cg.neighbors == ref.neighbors
+        rep_height = [h[v] for v in ref.representatives]
+        offset = [h[v] - rep_height[ref.comp_of[v]] for v in vs]
+        assert cg.offset == offset
+        assert len(cg.quotient) == len(ref.neighbors)
+        for pairs, triples in zip(cg.quotient, ref.neighbors):
+            expected = [
+                (ref.comp_of[v], t - offset[graph.index[v]] + offset[graph.index[u]])
+                for u, v, t in triples
+            ]
+            assert sorted(pairs) == sorted(expected)
 
 
 def reference_arc_weights(graph, eqfn):

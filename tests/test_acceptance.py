@@ -140,19 +140,20 @@ def test_06_forced_component_rigidity():
         cg = forced_components(graph, weights, min_tiling(graph, weights))
         for v in graph.vertices:
             rigid = len({h.h[v] for h in heights}) == 1
-            ok = ok and rigid == (cg.comp_of[v] == cg.infinity)
+            ok = ok and rigid == (cg.comp_of[graph.index[v]] == cg.infinity)
     # Non-enumerable member: rigidity via the min/max characterization.
     _, graph, _, weights = built("8x8-two-holes")
     hmin, _ = minimal_height(graph, weights)
     hmax, _ = maximal_height(graph, weights)
     cg = forced_components(graph, weights, min_tiling(graph, weights))
+    vs = graph.vertices
     for i, rep in enumerate(cg.representatives):
         if i == cg.infinity:
             ok = ok and all(
-                hmin.h[v] == hmax.h[v] for v in cg.components[i]
+                hmin.h[vs[v]] == hmax.h[vs[v]] for v in cg.components[i]
             )
         else:
-            ok = ok and hmin.h[rep] != hmax.h[rep]
+            ok = ok and hmin.h[vs[rep]] != hmax.h[vs[rep]]
     report(6, ok, "tiling-independent heights exactly on the infinity component")
 
 

@@ -179,10 +179,11 @@ class TestDiagnostics:
             pytest.skip("untileable figure")
         _, graph, _, weights = tiler.pipeline(CORPUS[corpus_name])
         cg = forced_components(graph, weights, min_tiling(graph, weights))
+        comp = dict(zip(graph.vertices, cg.comp_of))
         pairs = sorted(
             {
                 (min(i, j), max(i, j))
-                for i, j in ((cg.comp_of[u], cg.comp_of[v]) for u, v in grid_arcs(graph))
+                for i, j in ((comp[u], comp[v]) for u, v in grid_arcs(graph))
                 if i != j
             }
         )

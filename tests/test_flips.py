@@ -24,7 +24,7 @@ from tiler.oracle import bfs_distance, generalized_flip_adjacency
 from tiler.tiling import height_of_tiling, tiling_of_height
 
 from .conftest import COUNTS, ENUMERABLE, built
-from .stepwise import assert_flips_match_status
+from .stepwise import assert_flips_match_status, reference_flip_path, reference_forced_components
 
 
 def setting(name):
@@ -63,7 +63,7 @@ class TestAvailability:
             for flip in available_flips(cg, weights, h):
                 out = apply_flip(cg, weights, h, flip)
                 moved = {v for v in h.h if out.h[v] != h.h[v]}
-                assert moved == set(cg.components[flip.component])
+                assert moved == {graph.vertices[v] for v in cg.components[flip.component]}
                 shift = 4 if flip.direction == UP else -4
                 assert all(out.h[v] - h.h[v] == shift for v in moved)
                 tiling_of_height(graph, weights, out)  # stays valid
@@ -80,6 +80,22 @@ class TestAvailability:
             apply_flip(cg, weights, hmin, Flip(up.component, DOWN))
         with pytest.raises(FlipNotAvailable):
             apply_flip(cg, weights, hmin, Flip(cg.infinity, UP))
+
+    @pytest.mark.parametrize(
+        "component, direction",
+        [
+            (-5, UP), (-1, DOWN), (10, UP), (99, UP), ("5", UP), (None, DOWN),
+            (5, "sideways"), (5, None),
+        ],
+    )
+    def test_malformed_flip(self, component, direction):
+        # A component outside 0..len-1 or a direction other than up and
+        # down names no flip: none wraps around or acts as another flip.
+        graph, weights, cg, heights = setting("4x4")
+        assert len(cg.components) == 10
+        for h in heights:
+            with pytest.raises(FlipNotAvailable):
+                apply_flip(cg, weights, h, Flip(component, direction))
 
     def test_hole_flip_moves_ring(self):
         # Flipping the hole component of the 2x2-holed ring rotates all the
@@ -155,6 +171,16 @@ class TestFlipPath:
             for flip in path:
                 h = apply_flip(cg, weights, h, flip)
             assert h == h2
+
+    def test_matches_reference(self, enumerable_name):
+        # The same flips, in the same order, as the sweep on height dicts,
+        # between every ordered pair of tilings.
+        if COUNTS[enumerable_name] == 0:
+            pytest.skip("untileable figure")
+        graph, weights, cg, heights = setting(enumerable_name)
+        ref = reference_forced_components(graph, weights, tiling_of_height(graph, weights, heights[0]))
+        for h1, h2 in itertools.product(heights, repeat=2):
+            assert flip_path(cg, weights, h1, h2) == reference_flip_path(ref, h1, h2)
 
     def test_comparable_pairs_use_up_only(self, enumerable_name):
         from tiler.lattice import OrderRelation

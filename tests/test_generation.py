@@ -14,7 +14,8 @@ import pytest
 import tiler
 from tiler import generation
 from tiler.components import forced_components
-from tiler.errors import NotTileable
+from tiler.cli import main
+from tiler.errors import NotTileable, TooLarge
 from tiler.generation import (
     component_order,
     count_tilings,
@@ -60,7 +61,7 @@ class TestEnumerate:
             pytest.skip("untileable figure")
         _, graph, _, weights = built(enumerable_name)
         cg = forced_components(graph, weights, min_tiling(graph, weights))
-        reps = [cg.representatives[i] for i in component_order(cg)]
+        reps = [graph.vertices[cg.representatives[i]] for i in component_order(cg)]
         keys = [
             tuple(height_of_tiling(graph, weights, t).h[v] for v in reps)
             for t in enumerate_tilings(graph, weights)
@@ -193,19 +194,34 @@ class TestSampleUniform:
 
         calls = itertools.count()
 
-        def lower_chain_only(cg, h, i, direction):
+        def lower_chain_only(cg, heights, i, direction):
             n = next(calls)
             if n > 10_000:
                 raise RuntimeError("the sandwich check never fired")
             if n % 2 == 0:
-                for v in cg.components[i]:
-                    h[v] += 4
+                heights[i] += 4
             return True
 
         monkeypatch.setattr(generation, "try_flip_inplace", lower_chain_only)
         _, graph, _, weights = built("3x4")
         with pytest.raises(AssertionError, match="CFTP sandwich property violated"):
             sample_uniform(graph, weights, 0)
+
+    def test_window_cap(self, monkeypatch):
+        # One update cannot join the 4x4 square's minimum and maximum.
+        monkeypatch.setattr(generation, "WINDOW_CAP", 1)
+        _, graph, _, weights = built("4x4")
+        with pytest.raises(TooLarge, match="did not coalesce"):
+            sample_uniform(graph, weights, 0)
+
+    def test_window_cap_cli(self, monkeypatch, capsys, tmp_path):
+        monkeypatch.setattr(generation, "WINDOW_CAP", 1)
+        path = tmp_path / "4x4.txt"
+        path.write_text(CORPUS["4x4"])
+        assert main(["sample", str(path), "--seed", "0"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_matches_reference(self, corpus_name):
         if COUNTS.get(corpus_name) == 0:

@@ -2,13 +2,15 @@
 
 from collections import Counter
 from graphlib import CycleError, TopologicalSorter
+from types import SimpleNamespace
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from tiler.components import _strongly_connected_components
+from tiler.components import _strong_components, forced_components
 from tiler.equilibrium import build_equilibrium, verify_equilibrium
 from tiler.errors import ParseError, TilerError, Untileable
+from tiler.flips import flip_path
 from tiler.generation import count_tilings, enumerate_tilings
 from tiler.grid import (
     Cell,
@@ -38,6 +40,8 @@ from .stepwise import (
     grid_arcs,
     outcome,
     reference_arc_weights,
+    reference_flip_path,
+    reference_forced_components,
     reference_g_of_tiling,
     reference_tiling_of_height,
     stepwise_extremal_height,
@@ -270,9 +274,10 @@ def test_successors_match_stepwise_tileable(figure):
 @settings(max_examples=100, deadline=None)
 @given(tileable_masks())
 def test_sampler_matches_reference(figure):
-    """The one-pass flip test against component_status on every tiling, and
-    sample_uniform against the reference CFTP loop for seeds 0-49: the same
-    tilings from the same update streams."""
+    """The one-pass flip test on component heights against the reference
+    status on height dicts, on every tiling, and sample_uniform against the
+    reference CFTP loop for seeds 0-49: the same tilings from the same
+    update streams."""
     _, graph, _, weights = pipeline_from_cells(figure.cells)
     assert_flips_match_status(graph, weights)
     assert_samples_match_reference(graph, weights, range(50))
@@ -328,26 +333,67 @@ def test_components_match_reference(figure):
     assert_components_match_reference(graph, weights)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(tileable_masks(), masked_figures()))
+def test_flip_path_matches_reference(figure):
+    """flip_path on component heights against the sweep on height dicts,
+    from the minimum to the maximum and back: the same flips in the same
+    order."""
+    _, graph, _, weights = pipeline_from_cells(figure.cells)
+    try:
+        hmin, _ = minimal_height(graph, weights)
+    except Untileable:
+        return
+    hmax, _ = maximal_height(graph, weights)
+    tiling = tiling_of_height(graph, weights, hmin)
+    cg = forced_components(graph, weights, tiling)
+    ref = reference_forced_components(graph, weights, tiling)
+    for h1, h2 in ((hmin, hmax), (hmax, hmin)):
+        assert flip_path(cg, weights, h1, h2) == reference_flip_path(ref, h1, h2)
+
+
 @st.composite
 def digraphs(draw, max_vertices=9):
-    """(n, arcs) on vertices 0..n-1, without loops."""
+    """(n, arcs, potential) on vertices 0..n-1, arcs without loops."""
     n = draw(st.integers(1, max_vertices))
     pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
-    return n, draw(st.lists(pairs.filter(lambda a: a[0] != a[1]), max_size=2 * n))
+    arcs = draw(st.lists(pairs.filter(lambda a: a[0] != a[1]), max_size=2 * n))
+    return n, arcs, draw(st.lists(st.integers(-20, 20), min_size=n, max_size=n))
+
+
+def symmetric_csr(n, arcs, potential):
+    """The digraph as the figure graph stores G_T: every arc and its
+    reverse in CSR arrays, with keep set on the digraph's arcs and t the
+    potential's difference along each arc."""
+    nbrs = [sorted({v for a in arcs for u, v in (a, a[::-1]) if u == w}) for w in range(n)]
+    offsets = [0]
+    for w in range(n):
+        offsets.append(offsets[-1] + len(nbrs[w]))
+    head = [v for w in range(n) for v in nbrs[w]]
+    tails = [w for w in range(n) for _ in nbrs[w]]
+    arc_id = {(u, v): k for k, (u, v) in enumerate(zip(tails, head))}
+    graph = SimpleNamespace(
+        vertices=range(n), offsets=offsets, head=head, rev=[arc_id[v, u] for u, v in arc_id]
+    )
+    weights = SimpleNamespace(t=[potential[v] - potential[u] for u, v in arc_id])
+    return graph, weights, [a in set(arcs) for a in arc_id]
 
 
 @settings(max_examples=300, deadline=None)
 @given(digraphs())
 def test_scc_matches_reference(digraph):
-    """Kosaraju's components are Tarjan's, and there are n of them exactly
-    when the loop-free digraph has a topological order."""
-    n, arcs = digraph
+    """Kosaraju on the CSR arrays finds Tarjan's components, there are n
+    of them exactly when the loop-free digraph has a topological order, and
+    each vertex's height is the potential relative to its component's first
+    vertex."""
+    n, arcs, potential = digraph
     out = {}
     for u, v in arcs:
         out.setdefault(u, []).append(v)
-    comps = _strongly_connected_components([out.get(v, []) for v in range(n)])
+    comps, height = _strong_components(*symmetric_csr(n, arcs, potential))
     assert {frozenset(c) for c in comps} == {frozenset(c) for c in tarjan_components(range(n), out)}
     assert sorted(v for c in comps for v in c) == list(range(n))
+    assert all(height[v] == potential[v] - potential[c[0]] for c in comps for v in c)
     try:
         tuple(TopologicalSorter({v: [u for u, w in arcs if w == v] for v in range(n)}).static_order())
         acyclic = True
