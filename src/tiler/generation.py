@@ -17,7 +17,8 @@ from .grid import FigureGraph
 from .lattice import maximal_height, minimal_height
 from .tiling import HeightFunction, tiling_of_height
 
-WINDOW_CAP = 2**32
+# The plan keeps 8 B per time step, so at most 2 GiB under this cap.
+WINDOW_CAP = 2**28
 
 
 def component_order(cg: ComponentGraph):
@@ -111,18 +112,23 @@ def _draw_sample(graph: FigureGraph, weights: ArcWeights, prepared, seed: int):
 
     The chains are component heights.  After each update the lower chain
     must stay below the upper one; only the updated component moved, so
-    only its height is checked.  Raises TooLarge past WINDOW_CAP updates.
+    only its height is checked.  `plans[when - 1]` is the update at time
+    -when, one of 2q shared pairs, planned once and replayed by every
+    longer window.  Raises TooLarge when the window would pass WINDOW_CAP
+    time steps, after at most 2 * WINDOW_CAP - 1 updates.
     """
     hmin, cg, order, bottom, top = prepared
     if cg is None:
         return tiling_of_height(graph, weights, hmin)
     q = len(order)
-    window = 1
+    moves = {d: [(comp, d) for comp in order] for d in (UP, DOWN)}
+    plans, window = [], 1
     while window <= WINDOW_CAP:
-        lo, hi = bottom[:], top[:]
-        for when in range(window, 0, -1):
+        for when in range(len(plans) + 1, window + 1):
             pos, direction = plan_update(seed, when, q)
-            comp = order[pos]
+            plans.append(moves[direction][pos])
+        lo, hi = bottom[:], top[:]
+        for comp, direction in reversed(plans):
             try_flip_inplace(cg, lo, comp, direction)
             try_flip_inplace(cg, hi, comp, direction)
             if lo[comp] > hi[comp]:
@@ -130,7 +136,7 @@ def _draw_sample(graph: FigureGraph, weights: ArcWeights, prepared, seed: int):
         if lo == hi:
             return tiling_of_height(graph, weights, height_function(graph, cg, lo))
         window *= 2
-    raise TooLarge(f"coupling from the past did not coalesce within {WINDOW_CAP} updates")
+    raise TooLarge(f"coupling from the past did not coalesce in a window of {WINDOW_CAP} steps")
 
 
 def sample_uniform(graph: FigureGraph, weights: ArcWeights, seed: int):

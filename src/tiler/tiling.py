@@ -1,9 +1,9 @@
 """Tilings, the height-difference function and height functions.
 
-A tiling is stored as the set of its central axes (the shared edge of each
-domino's two cells).  Height functions are integer vertex potentials with
-h(w0) = 0 whose difference on each arc (u, v) lies in {-t(v, u), t(u, v)};
-they are in bijection with tilings.
+A tiling is stored as the sorted tuple of its central axes (the shared
+edge of each domino's two cells).  Height functions are integer vertex
+potentials with h(w0) = 0 whose difference on each arc (u, v) lies in
+{-t(v, u), t(u, v)}; they are in bijection with tilings.
 """
 
 from __future__ import annotations
@@ -43,18 +43,18 @@ def axis_cells(axis):
     return Cell(x1 - 1, y1), Cell(x1, y1)  # vertical axis, horizontal domino
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Tiling:
-    """A tiling as the frozenset of its central axes."""
+    """A tiling as the sorted tuple of its central axes."""
 
-    axes: frozenset
+    axes: tuple
 
     @property
     def dominoes(self):
         return tuple(sorted(tuple(sorted(axis_cells(a))) for a in self.axes))
 
     def canonical(self):
-        return tuple(sorted(self.axes))
+        return self.axes
 
 
 @dataclass
@@ -83,17 +83,18 @@ def validate_tiling(graph: FigureGraph, dominoes) -> Tiling:
     """Check that the cell pairs exactly cover the figure.
 
     Each axis is interned in `graph.sides`, so the tilings of one figure
-    share their axis tuples.
+    share their axis tuples.  The axes are sorted once at the end, which is
+    cheap when the dominoes come nearly in order, as the decode's do.
     """
     covered = set()
-    axes = set()
+    axes = []
     sides = graph.sides
     for c1, c2 in dominoes:
         c1, c2 = Cell(*c1), Cell(*c2)
         if c1 not in graph.figure or c2 not in graph.figure:
             raise DominoOutsideFigure(f"domino {(c1, c2)} leaves the figure")
         axis = domino_axis(c1, c2)
-        axes.add(sides.setdefault(axis, axis))
+        axes.append(sides.setdefault(axis, axis))
         for c in (c1, c2):
             if c in covered:
                 raise Overlap(f"cell {c} covered twice")
@@ -101,13 +102,13 @@ def validate_tiling(graph: FigureGraph, dominoes) -> Tiling:
     missing = graph.figure.cells - covered
     if missing:
         raise Gap(f"uncovered cells: {sorted(missing)[:4]}")
-    return Tiling(axes=frozenset(axes))
+    return Tiling(axes=tuple(sorted(axes)))
 
 
 def g_of_tiling(graph: FigureGraph, weights: ArcWeights, tiling: Tiling) -> list:
     """Height difference g_T per arc id: t on a spin +1 arc, t - 4 on a spin
     -1 arc off the boundary; along an axis of T, minus 4 times the spin."""
-    axes = tiling.axes
+    axes = set(tiling.axes)
     return [
         (tk - 4 * s if side in axes else tk) - (4 if s < 0 and not b else 0)
         for tk, s, b, side in zip(weights.t, graph.spin, graph.boundary, graph.axis)
@@ -144,7 +145,7 @@ def tiling_of_height(graph: FigureGraph, weights: ArcWeights, hf: HeightFunction
     vs = graph.vertices
     h = list(map(hf.h.__getitem__, vs))
     t, head, rev, off = weights.t, graph.head, graph.rev, graph.offsets
-    axes = set()
+    axes = []
     for u, hu in enumerate(h):
         for k in range(off[u], off[u + 1]):
             d = h[head[k]] - hu
@@ -153,6 +154,6 @@ def tiling_of_height(graph: FigureGraph, weights: ArcWeights, hf: HeightFunction
                     a = (vs[u], vs[head[k]])
                     raise NotAHeightFunction(f"difference {d} on arc {a} outside {{b, t}}")
                 if graph.spin[k] > 0:
-                    axes.add(graph.axis[k])
+                    axes.append(graph.axis[k])
     dominoes = [axis_cells(side) for side in axes]
     return validate_tiling(graph, dominoes)

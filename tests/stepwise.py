@@ -19,7 +19,8 @@ on that graph, with heights in a GridVertex dict: a component moves when
 shift by 4.
 
 `reference_sample` is the coupling-from-the-past loop as `sample_uniform`
-ran it before the one-pass flip test and before component heights, and
+ran it before the one-pass flip test, before component heights and before
+the plan was kept across windows (one digest per update), and
 `reference_flip_path` the flip path sweep as it ran on height dicts.
 
 `reference_g_of_tiling` and `reference_tiling_of_height` are the encode and
@@ -230,7 +231,8 @@ def reference_sample(graph, weights, seed):
 
 def assert_samples_match_reference(graph, weights, seeds):
     """sample_uniform against reference_sample: for every seed, the same
-    tiling from as many plan_update calls."""
+    tiling, and one plan_update call for each time 1..W, where W is the last
+    window of the reference's 2W - 1 updates."""
     calls = []
     original = generation.plan_update
 
@@ -243,7 +245,9 @@ def assert_samples_match_reference(graph, weights, seeds):
         for seed in seeds:
             calls.clear()
             tiling = generation.sample_uniform(graph, weights, seed)
-            assert (tiling, len(calls)) == reference_sample(graph, weights, seed)
+            expected, updates = reference_sample(graph, weights, seed)
+            assert tiling == expected
+            assert sorted(calls) == list(range(1, (updates + 1) // 2 + 1))
     finally:
         generation.plan_update = original
 

@@ -233,3 +233,12 @@ class TestSampleUniform:
         _, graph, _, weights = built("8x8-two-holes")
         t = sample_uniform(graph, weights, 2026)
         assert len(t.dominoes) == 31
+
+    def test_tiling_memory(self):
+        """A sampled 8x8 tiling holds its 32 axes in a sorted tuple: 336 B
+        with the object under CPython 3.11, at most 400 (2320 B when the
+        axes were a frozenset)."""
+        _, graph, _, weights = tiler.pipeline("\n".join(["#" * 8] * 8))
+        t = sample_uniform(graph, weights, 0)
+        assert len(t.axes) == 32 and list(t.axes) == sorted(t.axes)
+        assert sys.getsizeof(t) + sys.getsizeof(t.axes) <= 400
