@@ -17,7 +17,9 @@ from .grid import FigureGraph
 from .lattice import maximal_height, minimal_height
 from .tiling import HeightFunction, tiling_of_height
 
-# The plan keeps 8 B per time step, so at most 2 GiB under this cap.
+BLOCK = 8  # updates per digest, and the first window
+# The plan is one window long, built a block at a time, at 8 B per time
+# step: at most 2 GiB under this cap.
 WINDOW_CAP = 2**28
 
 
@@ -80,16 +82,13 @@ def count_tilings(graph: FigureGraph, weights: ArcWeights) -> int:
 
 
 def plan_update(seed: int, when: int, q: int):
-    """Deterministic update for time -when: (component position, direction).
-
-    Counter-based so the update at a given past time never changes as the
-    window grows, which is what makes coupling from the past exact.
-    """
-    digest = blake2b(
-        struct.pack("<QQ", seed & (2**64 - 1), when), digest_size=16
-    ).digest()
-    u = int.from_bytes(digest, "little")
-    return (u >> 1) % q, UP if u & 1 else DOWN
+    """The BLOCK (component position, direction) updates for times -when
+    ... -(when + 7), when = 1 (mod 8), one per word of a digest keyed by
+    (seed, block): the update at a given past time never changes as the
+    window grows, which is what makes coupling from the past exact."""
+    key = struct.pack("<QQ", seed & (2**64 - 1), (when - 1) // BLOCK)
+    words = struct.unpack("<8Q", blake2b(key, digest_size=64).digest())
+    return [((u >> 1) % q, UP if u & 1 else DOWN) for u in words]
 
 
 def _prepare_sampler(graph: FigureGraph, weights: ArcWeights):
@@ -113,20 +112,20 @@ def _draw_sample(graph: FigureGraph, weights: ArcWeights, prepared, seed: int):
     The chains are component heights.  After each update the lower chain
     must stay below the upper one; only the updated component moved, so
     only its height is checked.  `plans[when - 1]` is the update at time
-    -when, one of 2q shared pairs, planned once and replayed by every
-    longer window.  Raises TooLarge when the window would pass WINDOW_CAP
-    time steps, after at most 2 * WINDOW_CAP - 1 updates.
+    -when, one of 2q shared pairs.  Windows start at BLOCK and double; each
+    extends the plan by whole blocks, one digest each, so the plan is one
+    window long and replayed whole.  Raises TooLarge when the window would
+    pass WINDOW_CAP time steps, after at most 2 * WINDOW_CAP - BLOCK updates.
     """
     hmin, cg, order, bottom, top = prepared
     if cg is None:
         return tiling_of_height(graph, weights, hmin)
     q = len(order)
     moves = {d: [(comp, d) for comp in order] for d in (UP, DOWN)}
-    plans, window = [], 1
+    plans, window = [], BLOCK
     while window <= WINDOW_CAP:
-        for when in range(len(plans) + 1, window + 1):
-            pos, direction = plan_update(seed, when, q)
-            plans.append(moves[direction][pos])
+        for when in range(len(plans) + 1, window, BLOCK):
+            plans += [moves[direction][pos] for pos, direction in plan_update(seed, when, q)]
         lo, hi = bottom[:], top[:]
         for comp, direction in reversed(plans):
             try_flip_inplace(cg, lo, comp, direction)

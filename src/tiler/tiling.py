@@ -88,10 +88,10 @@ def validate_tiling(graph: FigureGraph, dominoes) -> Tiling:
     """
     covered = set()
     axes = []
-    sides = graph.sides
+    sides, cells = graph.sides, graph.figure.cells
     for c1, c2 in dominoes:
         c1, c2 = Cell(*c1), Cell(*c2)
-        if c1 not in graph.figure or c2 not in graph.figure:
+        if c1 not in cells or c2 not in cells:
             raise DominoOutsideFigure(f"domino {(c1, c2)} leaves the figure")
         axis = domino_axis(c1, c2)
         axes.append(sides.setdefault(axis, axis))
@@ -99,7 +99,7 @@ def validate_tiling(graph: FigureGraph, dominoes) -> Tiling:
             if c in covered:
                 raise Overlap(f"cell {c} covered twice")
             covered.add(c)
-    missing = graph.figure.cells - covered
+    missing = cells - covered
     if missing:
         raise Gap(f"uncovered cells: {sorted(missing)[:4]}")
     return Tiling(axes=tuple(sorted(axes)))

@@ -19,15 +19,21 @@ on that graph, with heights in a GridVertex dict: a component moves when
 shift by 4.
 
 `reference_sample` is the coupling-from-the-past loop as `sample_uniform`
-ran it before the one-pass flip test, before component heights and before
-the plan was kept across windows (one digest per update), and
-`reference_flip_path` the flip path sweep as it ran on height dicts.
+ran it before the one-pass flip test, before component heights, before the
+plan was kept across windows and before windows started at 8: windows
+1, 2, 4, ..., and each update read from its own digest, recomputed with
+`hashlib` rather than taken from `plan_update`.  A CFTP output does not
+depend on which coalescing window produced it, so both loops return the
+same tiling.  `reference_flip_path` is the flip path sweep as it ran on
+height dicts.
 
 `reference_g_of_tiling` and `reference_tiling_of_height` are the encode and
 decode as they were when the weights stored eq_r = eq - sp and b beside t:
 both recompute those from the equilibrium function and the spins.
 """
 
+import hashlib
+import struct
 from collections import deque
 from typing import NamedTuple
 
@@ -43,7 +49,7 @@ from tiler.components import (
 )
 from tiler.errors import NotAHeightFunction, TilerError, Untileable
 from tiler.flips import DOWN, UP, Flip, try_flip_inplace
-from tiler.generation import enumerate_tilings, plan_update
+from tiler.generation import enumerate_tilings
 from tiler.grid import left_cell, right_cell, spin_of_move
 from tiler.lattice import (
     _boundary_heights,
@@ -203,8 +209,18 @@ def reference_flip(ref, h, i, direction):
     return True
 
 
+def reference_update(seed, when, q):
+    """The update at time -when: word (when - 1) % 8 of the 64-byte blake2b
+    digest of (seed mod 2^64, (when - 1) // 8), little-endian; position
+    (u >> 1) % q, up if u is odd."""
+    block, word = divmod(when - 1, 8)
+    digest = hashlib.blake2b(struct.pack("<QQ", seed % 2**64, block), digest_size=64).digest()
+    u = int.from_bytes(digest[8 * word : 8 * word + 8], "little")
+    return (u >> 1) % q, UP if u % 2 else DOWN
+
+
 def reference_sample(graph, weights, seed):
-    """(tiling, number of plan_update calls) of the reference CFTP loop."""
+    """(tiling, number of updates) of the reference CFTP loop."""
     hmin, _ = minimal_height(graph, weights)
     hmax, _ = maximal_height(graph, weights)
     if hmin.h == hmax.h:
@@ -217,7 +233,7 @@ def reference_sample(graph, weights, seed):
         lo = dict(hmin.h)
         hi = dict(hmax.h)
         for when in range(window, 0, -1):
-            pos, direction = plan_update(seed, when, len(order))
+            pos, direction = reference_update(seed, when, len(order))
             updates += 1
             comp = order[pos]
             reference_flip(ref, lo, comp, direction)
@@ -231,8 +247,10 @@ def reference_sample(graph, weights, seed):
 
 def assert_samples_match_reference(graph, weights, seeds):
     """sample_uniform against reference_sample: for every seed, the same
-    tiling, and one plan_update call for each time 1..W, where W is the last
-    window of the reference's 2W - 1 updates."""
+    tiling, and plan_update called for the blocks starting at times
+    1, 9, ..., W - 7 exactly, in that order.  W is the sampler's last
+    window: the larger of 8 and the reference's last window R, which makes
+    2R - 1 updates.  A figure with one tiling makes no call."""
     calls = []
     original = generation.plan_update
 
@@ -247,7 +265,8 @@ def assert_samples_match_reference(graph, weights, seeds):
             tiling = generation.sample_uniform(graph, weights, seed)
             expected, updates = reference_sample(graph, weights, seed)
             assert tiling == expected
-            assert sorted(calls) == list(range(1, (updates + 1) // 2 + 1))
+            window = max(8, (updates + 1) // 2) if updates else 0
+            assert calls == list(range(1, window - 6, 8))
     finally:
         generation.plan_update = original
 

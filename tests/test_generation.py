@@ -5,7 +5,9 @@ import collections
 import hashlib
 import itertools
 import json
+import math
 import os
+import struct
 import subprocess
 import sys
 
@@ -16,6 +18,7 @@ from tiler import generation
 from tiler.components import forced_components
 from tiler.cli import main
 from tiler.errors import NotTileable, TooLarge
+from tiler.flips import DOWN, UP, flip_distance
 from tiler.generation import (
     component_order,
     count_tilings,
@@ -88,11 +91,36 @@ class TestEnumerate:
 
 class TestPlanUpdate:
     def test_deterministic(self):
-        assert plan_update(123, 45, 7) == plan_update(123, 45, 7)
+        assert plan_update(123, 41, 7) == plan_update(123, 41, 7)
 
     def test_varies_with_time(self):
-        picks = {plan_update(5, t, 97) for t in range(64)}
+        picks = {p for when in range(1, 64, 8) for p in plan_update(5, when, 97)}
         assert len(picks) > 16
+
+    def test_block_equals_hashlib(self):
+        # The block of times when ... when + 7 reads the eight little-endian
+        # words of one 64-byte digest of (seed mod 2^64, (when - 1) // 8).
+        for seed in (0, 5, 2**64 + 5, -1):
+            for block in range(32):
+                key = struct.pack("<QQ", seed % 2**64, block)
+                digest = hashlib.blake2b(key, digest_size=64).digest()
+                words = [int.from_bytes(digest[i : i + 8], "little") for i in range(0, 64, 8)]
+                expected = [((u >> 1) % 97, UP if u % 2 else DOWN) for u in words]
+                assert plan_update(seed, 8 * block + 1, 97) == expected
+
+    def test_first_block_pinned(self):
+        # Any change to the update stream changes this literal, and with it
+        # the sample each seed returns.
+        assert plan_update(0, 1, 97) == [
+            (66, UP),
+            (13, DOWN),
+            (47, UP),
+            (37, UP),
+            (5, UP),
+            (18, UP),
+            (2, UP),
+            (87, UP),
+        ]
 
 
 class TestBlake2b:
@@ -242,3 +270,77 @@ class TestSampleUniform:
         t = sample_uniform(graph, weights, 0)
         assert len(t.axes) == 32 and list(t.axes) == sorted(t.axes)
         assert sys.getsizeof(t) + sys.getsizeof(t.axes) <= 400
+
+
+def chi2_sf(x, df):
+    """P(X > x) for X chi-square with an integer df, by the closed forms:
+    e^(-x/2) times a Poisson tail for even df, plus erfc for odd df."""
+    h = x / 2
+    if df % 2 == 0:
+        term, total = math.exp(-h), 0.0
+        for i in range(df // 2):
+            total += term
+            term *= h / (i + 1)
+        return total
+    term, total = math.exp(-h) * math.sqrt(h) / math.gamma(1.5), math.erfc(math.sqrt(h))
+    for i in range(df // 2):
+        total += term
+        term *= h / (i + 1.5)
+    return total
+
+
+class TestChi2:
+    @pytest.mark.parametrize(
+        "x, df", [(3.841459, 1), (5.991465, 2), (7.814728, 3), (18.307038, 10), (40.113272, 27)]
+    )
+    def test_five_percent_points(self, x, df):
+        assert chi2_sf(x, df) == pytest.approx(0.05, abs=1e-6)
+
+
+# Exact-distribution tests of the sampler: the flip distance from the
+# minimum (the rank in the lattice) of the samples of seeds 0..1999, against
+# the ranks of all enumerated tilings.  Rank bins are merged from the low end
+# until each expects at least 5 samples (a short top tail joins the last
+# bin); alpha = 0.001 over the two figures, 0.0005 each (Bonferroni).
+RANK_FIGURES = {
+    "6x6": ("\n".join(["######"] * 6), 6728),
+    "6x6-minus-2x2": ("######\n######\n##..##\n##..##\n######\n######", 1444),
+}
+RANK_SEEDS = range(2000)
+RANK_ALPHA = 0.001 / len(RANK_FIGURES)
+
+
+def rank_bins(exact, seen, n):
+    """(observed, expected) per merged rank bin."""
+    total = sum(exact.values())
+    bins, obs, exp = [], 0, 0.0
+    for r in range(max(exact) + 1):
+        obs, exp = obs + seen[r], exp + n * exact[r] / total
+        if exp >= 5:
+            bins.append((obs, exp))
+            obs, exp = 0, 0.0
+    if exp:
+        last_obs, last_exp = bins.pop()
+        bins.append((last_obs + obs, last_exp + exp))
+    return bins
+
+
+class TestExactDistribution:
+    @pytest.mark.parametrize("name", sorted(RANK_FIGURES))
+    def test_rank_chi_square(self, name):
+        text, count = RANK_FIGURES[name]
+        _, graph, _, weights = tiler.pipeline(text)
+        hmin, _ = minimal_height(graph, weights)
+        cg = forced_components(graph, weights, min_tiling(graph, weights))
+
+        def rank(tiling):
+            return flip_distance(hmin, height_of_tiling(graph, weights, tiling), cg)
+
+        exact = collections.Counter(rank(t) for t in enumerate_tilings(graph, weights))
+        assert sum(exact.values()) == count
+        seen = collections.Counter(rank(sample_uniform(graph, weights, s)) for s in RANK_SEEDS)
+        assert set(seen) <= set(exact)
+        bins = rank_bins(exact, seen, len(RANK_SEEDS))
+        chi2 = sum((o - e) ** 2 / e for o, e in bins)
+        print(f"{name}: chi-square {chi2:.1f}, {len(bins) - 1} degrees of freedom")
+        assert chi2_sf(chi2, len(bins) - 1) > RANK_ALPHA
