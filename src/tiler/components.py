@@ -109,7 +109,9 @@ def forced_components(graph: FigureGraph, weights: ArcWeights, tiling: Tiling) -
     """The strong components of G_T, with their kinds and quotient graph."""
     t, head, off, boundary = weights.t, graph.head, graph.offsets, graph.boundary
     comps, offset = _strong_components(graph, weights, _in_tiling_graph(graph, weights, tiling))
-    comps = sorted(map(sorted, comps))  # by least vertex: they are disjoint
+    for c in comps:
+        c.sort()
+    comps.sort()  # by least vertex: they are disjoint
     comp = [0] * len(offset)
     for i, c in enumerate(comps):
         base = offset[c[0]]

@@ -91,8 +91,11 @@ def step_values(graph: FigureGraph, cutlines) -> dict:
             )
         return steps[hid]
 
-    for hole in graph.holes:
-        compute(hole.id)
+    try:
+        for hole in graph.holes:
+            compute(hole.id)
+    finally:
+        del compute  # in its own closure: a cycle that keeps graph until collected
     return steps
 
 

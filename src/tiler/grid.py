@@ -91,7 +91,7 @@ class Figure:
 
 
 def make_figure(cells) -> Figure:
-    cells = frozenset(Cell(x, y) for x, y in cells)
+    cells = frozenset(c if type(c) is Cell else Cell(*c) for c in cells)
     if not cells:
         raise Empty("figure has no cells")
     xs = [c.x for c in cells]
@@ -144,7 +144,7 @@ def parse_figure(text: str) -> Figure:
         raise ParseError(f"bad characters: {sorted(bad)!r}")
     nrows = len(rows)
     cells = [
-        (c, nrows - 1 - r)
+        Cell(c, nrows - 1 - r)
         for r, row in enumerate(rows)
         for c, ch in enumerate(row)
         if ch == "#"

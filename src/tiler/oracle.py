@@ -40,7 +40,10 @@ def brute_enumerate(figure: Figure, cap: int = DEFAULT_CAP):
                 covered.discard(first)
                 covered.discard(partner)
 
-    backtrack()
+    try:
+        backtrack()
+    finally:
+        del backtrack  # in its own closure: a cycle left to the collector
     return sorted(tilings)
 
 

@@ -245,7 +245,7 @@ def test_retained_gc_objects():
     gc.collect()
     before = len(gc.get_objects())
     cg = forced_components(graph, weights, tiling)
-    gc.collect()
+    assert gc.collect() == 0  # no cycle left behind
     retained = len(gc.get_objects()) - before
     assert len(cg.comp_of) == len(graph.vertices) > 1000
     assert retained <= 6

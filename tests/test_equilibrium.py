@@ -207,7 +207,9 @@ def test_pipeline_retained_gc_objects():
     gc.collect()
     before = len(gc.get_objects())
     kept = pipeline("\n".join(["#" * n] * n))
-    gc.collect()  # untracks the tuples that hold only untracked objects
+    # Finds no garbage (pipeline leaves no cycle) and untracks the tuples
+    # that hold only untracked objects.
+    assert gc.collect() == 0
     retained = len(gc.get_objects()) - before
     assert len(kept[0]) == n * n
     assert retained / (n * n) <= 2.3
