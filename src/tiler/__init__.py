@@ -1,14 +1,7 @@
 """Domino tilings of holed figures: lattice structure, flips, enumeration
 and exact uniform sampling."""
 
-from .components import (
-    ComponentGraph,
-    forced_components,
-    is_critical,
-    is_strongly_critical,
-    tiling_graph,
-    to_orientation,
-)
+from .components import ComponentGraph, forced_components
 from .equilibrium import (
     ArcWeights,
     CutLine,
@@ -37,10 +30,8 @@ from .grid import (
     GridVertex,
     Hole,
     build_graph,
-    disequilibrium,
     is_black,
     parse_figure,
-    spin,
 )
 from .lattice import (
     OrderRelation,

@@ -1,37 +1,21 @@
-"""Critical cycles, the tiling graph G_T, forced components and the
-acyclic-orientation view of a tiling.
+"""Forced components: the strongly connected components of the tiling
+graph G_T, the arcs a with g_T(a) = t(a).
 
-The forced components are the strongly connected components of G_T; they do
-not depend on the chosen tiling.  Each tiling orients the quotient graph
-acyclically, and that orientation determines the tiling.
+They do not depend on the chosen tiling.  Each tiling orients the quotient
+graph acyclically, and its component heights determine the tiling.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from graphlib import CycleError, TopologicalSorter
 
 from .equilibrium import ArcWeights
-from .errors import ArcNotInFigure, NotACycle
 from .grid import FigureGraph
 from .tiling import HeightFunction, Tiling, g_of_tiling
 
 INFINITY = "infinity"
 SINGLE = "single"
 HOLE = "hole"
-
-
-def _in_tiling_graph(graph: FigureGraph, weights: ArcWeights, tiling: Tiling) -> list:
-    """Per arc id, whether the arc is in G_T, i.e. g_T = t."""
-    return [g == t for g, t in zip(g_of_tiling(graph, weights, tiling), weights.t)]
-
-
-def tiling_graph(graph: FigureGraph, weights: ArcWeights, tiling: Tiling) -> frozenset:
-    """Arcs a with g_T(a) = t(a), as GridVertex pairs; includes every
-    boundary arc."""
-    vs, head = graph.vertices, graph.head
-    kept = zip(graph.rev, head, _in_tiling_graph(graph, weights, tiling))
-    return frozenset((vs[head[r]], vs[v]) for r, v, keep in kept if keep)
 
 
 def _strong_components(graph: FigureGraph, weights: ArcWeights, keep):
@@ -108,7 +92,8 @@ class ComponentGraph:
 def forced_components(graph: FigureGraph, weights: ArcWeights, tiling: Tiling) -> ComponentGraph:
     """The strong components of G_T, with their kinds and quotient graph."""
     t, head, off, boundary = weights.t, graph.head, graph.offsets, graph.boundary
-    comps, offset = _strong_components(graph, weights, _in_tiling_graph(graph, weights, tiling))
+    in_gt = [g == tk for g, tk in zip(g_of_tiling(graph, weights, tiling), t)]
+    comps, offset = _strong_components(graph, weights, in_gt)
     for c in comps:
         c.sort()
     comps.sort()  # by least vertex: they are disjoint
@@ -165,67 +150,3 @@ def height_function(graph: FigureGraph, cg: ComponentGraph, heights) -> HeightFu
 def quotient_edges(cg: ComponentGraph) -> list:
     """The quotient graph's edges (i, j), i < j, in increasing order."""
     return sorted((i, j) for i, pairs in enumerate(cg.quotient) for j, _ in pairs if i < j)
-
-
-def _cycle_arcs(graph: FigureGraph, cycle) -> list:
-    """Arc ids along an elementary closed walk of the figure graph."""
-    if len(cycle) < 2 or cycle[0] != cycle[-1]:
-        raise NotACycle("cycle must be closed")
-    interior = cycle[:-1]
-    if len(set(interior)) != len(interior):
-        raise NotACycle("cycle repeats a vertex")
-    arcs = []
-    for u, v in zip(cycle, cycle[1:]):
-        try:
-            arcs.append(graph.arc_id(u, v))
-        except ArcNotInFigure:
-            raise NotACycle(f"{(u, v)} is not an arc of the figure graph") from None
-    return arcs
-
-
-def is_critical(graph: FigureGraph, weights: ArcWeights, cycle) -> bool:
-    """Elementary cycle with t(C) = 0."""
-    return sum(weights.t[k] for k in _cycle_arcs(graph, cycle)) == 0
-
-
-def is_strongly_critical(graph: FigureGraph, weights: ArcWeights, cycle) -> bool:
-    """Critical, with spin +1 on every non-boundary arc."""
-    arcs = _cycle_arcs(graph, cycle)
-    if sum(weights.t[k] for k in arcs) != 0:
-        return False
-    return all(graph.spin[k] == 1 for k in arcs if not graph.boundary[k])
-
-
-@dataclass(frozen=True)
-class Orientation:
-    """Acyclic orientation of the quotient graph induced by a tiling."""
-
-    arcs: frozenset  # ordered component index pairs
-
-
-def edge_direction(heights, i: int, j: int, c: int):
-    """Orientation (i, j) or (j, i) of the edge that i lists as (j, c)."""
-    d = heights[j] - heights[i]
-    if d == c:
-        return (i, j)
-    # Quotient arcs are never boundary arcs, so the lower difference is c - 4.
-    assert d == c - 4, "arc difference outside {c - 4, c}"
-    return (j, i)
-
-
-def to_orientation(cg: ComponentGraph, weights: ArcWeights, hf: HeightFunction) -> Orientation:
-    """The acyclic quotient orientation of hf; `weights` is not read."""
-    heights = component_heights(cg, hf)
-    # Both ends of an edge list it, and give the same orientation.
-    arcs = frozenset(
-        edge_direction(heights, i, j, c) for i, pairs in enumerate(cg.quotient) for j, c in pairs
-    )
-    # Quotients of tiling graphs are acyclic.
-    sorter = TopologicalSorter()
-    for i, j in arcs:
-        sorter.add(j, i)
-    try:
-        sorter.prepare()
-    except CycleError:
-        raise AssertionError("orientation has a cycle") from None
-    return Orientation(arcs=arcs)

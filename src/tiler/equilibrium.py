@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import TilerError
-from .grid import Cell, E, FigureGraph, W, cycle_spin
+from .grid import Cell, E, FigureGraph, W
 
 
 @dataclass(frozen=True)
@@ -76,6 +76,12 @@ def build_cut_lines(graph: FigureGraph):
     return lines
 
 
+def contour_spin(graph: FigureGraph, cycle) -> int:
+    """Sum of the arc spins along a closed walk of GridVertex."""
+    spin = graph.spin
+    return sum(spin[graph.arc_id(u, v)] for u, v in zip(cycle, cycle[1:]))
+
+
 def step_values(graph: FigureGraph, cutlines) -> dict:
     """Step value per hole: children's steps minus the contour spin, bottom-up
     over the predecessor tree."""
@@ -86,8 +92,8 @@ def step_values(graph: FigureGraph, cutlines) -> dict:
 
     def compute(hid):
         if hid not in steps:
-            steps[hid] = sum(compute(j) for j in children.get(hid, ())) - cycle_spin(
-                graph.holes[hid].clockwise_contour
+            steps[hid] = sum(compute(j) for j in children.get(hid, ())) - contour_spin(
+                graph, graph.holes[hid].clockwise_contour
             )
         return steps[hid]
 
@@ -156,6 +162,6 @@ def verify_equilibrium(graph: FigureGraph, eqfn) -> bool:
             return False
     for hole in graph.holes:
         c = hole.clockwise_contour
-        if cycle_eq(eqfn, c) != -cycle_spin(c):
+        if cycle_eq(eqfn, c) != -contour_spin(graph, c):
             return False
     return True

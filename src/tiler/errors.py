@@ -21,18 +21,6 @@ class ArcNotInFigure(TilerError):
     """Arc is not an arc of the figure graph."""
 
 
-class NotElementary(TilerError):
-    """Cycle repeats a vertex or is not a cycle of the figure graph."""
-
-
-class NotClockwise(TilerError):
-    """Cycle is not traversed clockwise."""
-
-
-class NotACycle(TilerError):
-    """Vertex sequence is not a closed walk in the figure graph."""
-
-
 class Overlap(TilerError):
     """Two dominoes cover the same cell."""
 
@@ -76,7 +64,3 @@ class NotTileable(Untileable):
 class TooLarge(TilerError):
     """A resource limit is exceeded: the brute-force oracle's cell cap or the
     sampler's window cap."""
-
-
-class Unreachable(TilerError):
-    """No flip path between the two tilings (must not occur when tileable)."""

@@ -128,7 +128,9 @@ def local_flip_connected(graph, h1: HeightFunction, h2: HeightFunction) -> bool:
     joined by local flips alone."""
     if not same_figure(h1, h2):
         raise DifferentFigures("comparing heights on different figures")
-    return all(h1.h[v] == h2.h[v] for v in graph.boundary_vertices)
+    # Every boundary arc's reverse is one too, so the heads are all ends.
+    vs = graph.vertices
+    return all(h1.h[vs[v]] == h2.h[vs[v]] for v, b in zip(graph.head, graph.boundary) if b)
 
 
 def local_flip_count(graph, h1: HeightFunction, h2: HeightFunction) -> int:

@@ -1,11 +1,14 @@
-"""Figures on the plane grid: parsing, coloring, spin, holes and the
+"""Figures on the plane grid: parsing, coloring, holes and the
 duplicated-vertex graph.
 
 Cells are unit squares addressed by their lower-left corner.  A figure is a
 finite 4-connected set of cells; the finite 8-connected components of its
 complement are its holes.  Lattice points where the figure pinches (two
 diagonally adjacent cells present, the other two absent) are split into two
-vertex copies so that every contour is an elementary cycle.
+vertex copies so that every contour is an elementary cycle.  Each arc's
+spin (+1 with a white cell on its left) is derived here only, from the
+`_SPINS` table as `build_graph` makes the arc, and read off `graph.spin`
+everywhere else.
 """
 
 from __future__ import annotations
@@ -14,19 +17,11 @@ from array import array
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
-from .errors import (
-    ArcNotInFigure,
-    Empty,
-    NotClockwise,
-    NotConnected,
-    NotElementary,
-    ParseError,
-)
+from .errors import ArcNotInFigure, Empty, NotConnected, ParseError
 
 MAX_EXTENT = 4096
 
 N, S, E, W = (0, 1), (0, -1), (1, 0), (-1, 0)
-DIRECTIONS = (N, S, E, W)
 
 
 class Cell(NamedTuple):
@@ -55,24 +50,6 @@ def is_black(cell) -> bool:
     return (cell[0] + cell[1]) % 2 == 0
 
 
-def left_cell(p, d) -> Cell:
-    """Cell on the left of a unit move from lattice point p in direction d."""
-    x, y = p
-    dx, dy = d
-    return Cell((2 * x + dx - dy - 1) // 2, (2 * y + dy + dx - 1) // 2)
-
-
-def right_cell(p, d) -> Cell:
-    x, y = p
-    dx, dy = d
-    return Cell((2 * x + dx + dy - 1) // 2, (2 * y + dy - dx - 1) // 2)
-
-
-def spin_of_move(p, d) -> int:
-    """Spin of the move p -> p + d: +1 with a white cell on the left."""
-    return 1 if not is_black(left_cell(p, d)) else -1
-
-
 @dataclass(frozen=True)
 class Figure:
     """Finite 4-connected union of unit cells."""
@@ -82,9 +59,6 @@ class Figure:
     min_y: int
     width: int
     height: int
-
-    def __contains__(self, cell) -> bool:
-        return Cell(cell[0], cell[1]) in self.cells
 
     def __len__(self) -> int:
         return len(self.cells)
@@ -227,13 +201,6 @@ class FigureGraph:
         cyc = [self.vertex(p, d) for p, d in corners]
         cyc.append(cyc[0])
         return cyc
-
-    @property
-    def boundary_vertices(self) -> frozenset:
-        # Every boundary arc's reverse is one too, so the heads are all ends.
-        vs = self.vertices
-        return frozenset(vs[v] for v, b in zip(self.head, self.boundary) if b)
-
 
 # The moves from a lattice point in the order of their heads' ids, and per
 # pinch pattern the copy of the pinch point that owns each move: copy 0
@@ -406,53 +373,3 @@ def build_graph(figure: Figure) -> FigureGraph:
         _dup={tuple(cell(p)): pattern for p, pattern in pinch.items()},
         _comp_of_cell=comp_of_cell,
     )
-
-
-def spin(graph: FigureGraph, a) -> int:
-    """Spin of an arc of the figure graph."""
-    return graph.spin[graph.arc_id(*a)]
-
-
-def cycle_spin(cycle) -> int:
-    """Sum of spins along a closed vertex walk."""
-    return sum(
-        spin_of_move((u.x, u.y), (v.x - u.x, v.y - u.y))
-        for u, v in zip(cycle, cycle[1:])
-    )
-
-
-def disequilibrium(figure: Figure, cycle) -> int:
-    """Black-minus-white count over the cells of the figure enclosed by an
-    elementary clockwise cycle."""
-    if len(cycle) < 2 or cycle[0] != cycle[-1]:
-        raise NotElementary("cycle must be closed")
-    interior = cycle[:-1]
-    if len(set(interior)) != len(interior):
-        raise NotElementary("cycle repeats a vertex")
-    for u, v in zip(cycle, cycle[1:]):
-        d = (v.x - u.x, v.y - u.y)
-        if d not in DIRECTIONS:
-            raise NotElementary(f"{u} -> {v} is not a unit step")
-        if left_cell((u.x, u.y), d) not in figure and right_cell((u.x, u.y), d) not in figure:
-            raise NotElementary(f"edge {u} -> {v} is not a side of a figure cell")
-    area2 = sum(u.x * v.y - v.x * u.y for u, v in zip(cycle, cycle[1:]))
-    if area2 >= 0:
-        raise NotClockwise("cycle is not clockwise")
-
-    # Vertical steps, for a winding count per cell row.
-    down = {}
-    up = {}
-    for u, v in zip(cycle, cycle[1:]):
-        if v.x == u.x:
-            if v.y == u.y + 1:
-                up.setdefault(u.y, []).append(u.x)
-            else:
-                down.setdefault(v.y, []).append(u.x)
-
-    total = 0
-    for cell in figure.cells:
-        w = sum(1 for x in down.get(cell.y, ()) if x > cell.x)
-        w -= sum(1 for x in up.get(cell.y, ()) if x > cell.x)
-        if w == 1:
-            total += 1 if is_black(cell) else -1
-    return total

@@ -45,12 +45,10 @@ from tiler.components import (
     component_heights,
     forced_components,
     height_function,
-    tiling_graph,
 )
 from tiler.errors import NotAHeightFunction, TilerError, Untileable
 from tiler.flips import DOWN, UP, Flip, try_flip_inplace
 from tiler.generation import enumerate_tilings
-from tiler.grid import left_cell, right_cell, spin_of_move
 from tiler.lattice import (
     _boundary_heights,
     max_tiling,
@@ -66,23 +64,13 @@ from tiler.tiling import (
     validate_tiling,
 )
 
-
-def grid_arcs(graph):
-    """The arcs (u, v) of GridVertex in arc id order, read off the offsets
-    and heads."""
-    vs, off, head = graph.vertices, graph.offsets, graph.head
-    return [(vs[u], vs[head[k]]) for u in range(len(vs)) for k in range(off[u], off[u + 1])]
+from .theory import arc_t, grid_arcs, left_cell, right_cell, spin_of_move, tiling_graph
 
 
 def arc_axis_key(a):
     """The side of an arc (u, v) of GridVertex, as its sorted lattice points."""
     u, v = a
     return tuple(sorted(((u.x, u.y), (v.x, v.y))))
-
-
-def arc_t(graph, weights):
-    """t keyed by the arcs (u, v) of GridVertex."""
-    return dict(zip(grid_arcs(graph), weights.t))
 
 
 def _tree_sums(graph, weights, table):

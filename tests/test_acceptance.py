@@ -21,11 +21,11 @@ from tiler.lattice import (
     minimal_height,
     sup,
 )
-from tiler.oracle import bfs_distance, brute_enumerate, generalized_flip_adjacency
+from tiler.oracle import brute_enumerate
 from tiler.tiling import height_of_tiling, tiling_of_height
 
 from .conftest import COUNTS, CORPUS, ENUMERABLE, built
-from .stepwise import grid_arcs
+from .theory import bfs_distance, generalized_flip_adjacency, grid_arcs
 
 # Chi-square critical value at significance 0.001 with 4 degrees of freedom.
 CHI2_CRIT_4DOF = 18.47

@@ -21,7 +21,7 @@ from tiler.lattice import min_tiling, minimal_height
 from tiler.render import render_tiling, tiling_to_json
 
 from .conftest import CORPUS, COUNTS
-from .stepwise import grid_arcs
+from .theory import grid_arcs
 
 
 @pytest.fixture

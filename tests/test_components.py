@@ -5,7 +5,7 @@ import tracemalloc
 
 import pytest
 
-from tiler import components, pipeline
+from tiler import pipeline
 from tiler.components import (
     HOLE,
     INFINITY,
@@ -13,20 +13,25 @@ from tiler.components import (
     component_heights,
     forced_components,
     height_function,
-    is_critical,
-    is_strongly_critical,
     quotient_edges,
-    tiling_graph,
-    to_orientation,
 )
-from tiler.errors import NotACycle
 from tiler.generation import enumerate_tilings
 from tiler.grid import GridVertex
 from tiler.lattice import max_tiling, min_tiling, minimal_height
 from tiler.tiling import height_of_tiling
 
+from . import theory
 from .conftest import COUNTS, built
-from .stepwise import arc_t, assert_components_match_reference, grid_arcs
+from .stepwise import assert_components_match_reference
+from .theory import (
+    NotACycle,
+    arc_t,
+    grid_arcs,
+    is_critical,
+    is_strongly_critical,
+    tiling_graph,
+    to_orientation,
+)
 
 
 def components_of(name):
@@ -290,9 +295,9 @@ class TestOrientation:
         seen = set()
         for t in enumerate_tilings(graph, weights):
             h = height_of_tiling(graph, weights, t)
-            o = to_orientation(cg, weights, h)  # asserts acyclicity
-            assert o.arcs not in seen
-            seen.add(o.arcs)
+            o = to_orientation(cg, h)  # asserts acyclicity
+            assert o not in seen
+            seen.add(o)
 
     def _reaches(self, arcs, sources, n):
         seen = set(sources)
@@ -315,11 +320,11 @@ class TestOrientation:
         hmin, _ = minimal_height(graph, weights)
         hmax, _ = maximal_height(graph, weights)
         n = len(cg.components)
-        o_min = to_orientation(cg, weights, hmin)
-        reversed_arcs = frozenset((b, a) for a, b in o_min.arcs)
+        o_min = to_orientation(cg, hmin)
+        reversed_arcs = frozenset((b, a) for a, b in o_min)
         assert self._reaches(reversed_arcs, {cg.infinity}, n) == set(range(n))
-        o_max = to_orientation(cg, weights, hmax)
-        assert self._reaches(o_max.arcs, {cg.infinity}, n) == set(range(n))
+        o_max = to_orientation(cg, hmax)
+        assert self._reaches(o_max, {cg.infinity}, n) == set(range(n))
 
     def test_cycle_trips_assertion(self, monkeypatch):
         """Point one 4-cycle of the quotient graph around the cycle: the
@@ -339,13 +344,13 @@ class TestOrientation:
             if a in adj[d]
         )
         around = {(x, y) for x, y in zip(cycle, cycle[1:] + cycle[:1])}
-        real = components.edge_direction
+        real = theory.edge_direction
 
         def fake(heights, i, j, c):
             edge = real(heights, i, j, c)
             return edge[::-1] if edge[::-1] in around else edge
 
-        monkeypatch.setattr(components, "edge_direction", fake)
+        monkeypatch.setattr(theory, "edge_direction", fake)
         hmin, _ = minimal_height(graph, weights)
         with pytest.raises(AssertionError, match="orientation has a cycle"):
-            to_orientation(cg, weights, hmin)
+            to_orientation(cg, hmin)

@@ -19,7 +19,7 @@ from tiler.equilibrium import (
 from tiler.errors import TilerError
 
 from .conftest import built
-from .stepwise import grid_arcs
+from .theory import grid_arcs
 
 
 def assert_t_matches_eqfn(graph, eqfn, weights):

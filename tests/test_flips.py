@@ -20,11 +20,11 @@ from tiler.flips import (
 )
 from tiler.generation import enumerate_tilings
 from tiler.lattice import compare, maximal_height, min_tiling, minimal_height
-from tiler.oracle import bfs_distance, generalized_flip_adjacency
 from tiler.tiling import height_of_tiling, tiling_of_height
 
 from .conftest import COUNTS, ENUMERABLE, built
 from .stepwise import assert_flips_match_status, reference_flip_path, reference_forced_components
+from .theory import bfs_distance, generalized_flip_adjacency
 
 
 def setting(name):

@@ -1,6 +1,7 @@
 """Exhaustive enumeration in lexicographic order and exact uniform
 sampling."""
 
+import ast
 import collections
 import hashlib
 import itertools
@@ -171,6 +172,30 @@ class TestBlake2b:
             env={**os.environ, "PYTHONPATH": path},
         )
         assert json.loads(out.stdout) == []
+
+    def test_module_level_imports(self):
+        # Each module a `tiler` module imports at module level is loaded by
+        # every `import tiler`; a new one shows here, on any Python version.
+        # Imports inside a function run only when it is called.
+        src = os.path.dirname(tiler.__file__)
+        found = set()
+        for name in sorted(os.listdir(src)):
+            if not name.endswith(".py"):
+                continue
+            with open(os.path.join(src, name), encoding="utf-8") as f:
+                todo = list(ast.parse(f.read()).body)
+            for node in todo:  # todo grows while it is walked
+                if isinstance(node, ast.Import):
+                    found.update(alias.name.split(".")[0] for alias in node.names)
+                elif isinstance(node, ast.ImportFrom):
+                    if node.level == 0:
+                        found.add(node.module.split(".")[0])
+                elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    todo.extend(ast.iter_child_nodes(node))
+        assert sorted(found) == (
+            "__future__ _blake2 argparse array collections dataclasses enum itertools json "
+            "string struct sys typing"
+        ).split()
 
 
 class TestSampleUniform:

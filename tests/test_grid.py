@@ -3,27 +3,12 @@ counts."""
 
 import pytest
 
-from tiler.errors import (
-    ArcNotInFigure,
-    Empty,
-    NotClockwise,
-    NotConnected,
-    NotElementary,
-    ParseError,
-)
-from tiler.grid import (
-    Cell,
-    GridVertex,
-    build_graph,
-    cycle_spin,
-    disequilibrium,
-    is_black,
-    parse_figure,
-    spin,
-)
+from tiler.equilibrium import contour_spin
+from tiler.errors import ArcNotInFigure, Empty, NotConnected, ParseError
+from tiler.grid import Cell, GridVertex, build_graph, is_black, parse_figure
 
 from .conftest import built
-from .stepwise import grid_arcs
+from .theory import NotACycle, NotClockwise, cycle_spin, disequilibrium, grid_arcs
 
 
 class TestParse:
@@ -152,12 +137,12 @@ class TestSpin:
     def test_skew_symmetric(self, corpus_name):
         _, graph, _, _ = built(corpus_name)
         for u, v in grid_arcs(graph):
-            assert spin(graph, (u, v)) == -spin(graph, (v, u))
+            assert graph.spin[graph.arc_id(u, v)] == -graph.spin[graph.arc_id(v, u)]
 
     def test_arc_not_in_figure(self):
         _, graph, _, _ = built("2x2")
         with pytest.raises(ArcNotInFigure):
-            spin(graph, (GridVertex(0, 0), GridVertex(0, 5)))
+            graph.arc_id(GridVertex(0, 0), GridVertex(0, 5))
 
     def test_cell_cycle_spin(self, corpus_name):
         # Clockwise around one cell: spin 4 on a black cell, -4 on a white.
@@ -167,11 +152,15 @@ class TestSpin:
             assert cycle_spin(graph.cell_cycle(cell)) == expected
 
     def test_spin_counts_enclosed_cells(self, corpus_name):
-        # sp(C) = 4 * Dis(C) on every face cycle.
+        # sp(C) = 4 * Dis(C) on every face cycle.  Around each hole, the
+        # spin `step_values` reads off `graph.spin` is the geometric one.
         fig, graph, _, _ = built(corpus_name)
         for cell in fig.cells:
             cyc = graph.cell_cycle(cell)
             assert cycle_spin(cyc) == 4 * disequilibrium(fig, cyc)
+        for hole in graph.holes:
+            c = hole.clockwise_contour
+            assert contour_spin(graph, c) == cycle_spin(c)
 
     def test_spin_on_outer_contour(self):
         # Hole-free figures: clockwise outer contour spin counts the color
@@ -205,7 +194,7 @@ class TestDisequilibrium:
 
     def test_not_closed(self):
         fig, graph, _, _ = built("2x2")
-        with pytest.raises(NotElementary):
+        with pytest.raises(NotACycle):
             disequilibrium(fig, graph.outer_contour[:-1])
 
     def test_not_clockwise(self):

@@ -2,11 +2,12 @@
 
 import pytest
 
-from tiler.errors import TooLarge, Unreachable
+from tiler.errors import TooLarge
 from tiler.grid import parse_figure
-from tiler.oracle import bfs_distance, brute_enumerate
+from tiler.oracle import brute_enumerate
 
 from .conftest import COUNTS, built
+from .theory import Unreachable, bfs_distance
 
 
 class TestBruteEnumerate:

@@ -12,15 +12,7 @@ from tiler.equilibrium import build_equilibrium, verify_equilibrium
 from tiler.errors import ParseError, TilerError, Untileable
 from tiler.flips import flip_path
 from tiler.generation import count_tilings, enumerate_tilings
-from tiler.grid import (
-    Cell,
-    build_graph,
-    left_cell,
-    make_figure,
-    parse_figure,
-    right_cell,
-    spin_of_move,
-)
+from tiler.grid import Cell, build_graph, make_figure, parse_figure
 from tiler.lattice import compare, maximal_height, minimal_height, OrderRelation
 from tiler.oracle import brute_enumerate
 from tiler.tiling import (
@@ -37,7 +29,6 @@ from .stepwise import (
     assert_samples_match_reference,
     arc_axis_key,
     assert_successors_match_stepwise,
-    grid_arcs,
     outcome,
     reference_arc_weights,
     reference_flip_path,
@@ -48,6 +39,7 @@ from .stepwise import (
     tarjan_components,
 )
 from .test_equilibrium import assert_t_matches_eqfn
+from .theory import grid_arcs, left_cell, right_cell, spin_of_move
 
 
 @st.composite

@@ -28,7 +28,7 @@ from tiler.tiling import (
 )
 
 from .conftest import built
-from .stepwise import grid_arcs
+from .theory import grid_arcs
 from .test_equilibrium import perturbed
 
 

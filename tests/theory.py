@@ -1,0 +1,216 @@
+"""The paper's definitions that no verb computes, for the tests of the
+propositions built on them: the tiling graph G_T, critical and strongly
+critical cycles, the acyclic orientation of the quotient graph, spin and
+disequilibrium from the cell colours, and the generalized flip graph with
+its BFS distances.  They work on the arcs (u, v) of GridVertex that
+`grid_arcs` lists; `tests/stepwise.py` builds its references on them.
+"""
+
+import itertools
+from collections import deque
+from graphlib import CycleError, TopologicalSorter
+
+from tiler.components import component_heights
+from tiler.errors import TilerError
+from tiler.flips import apply_flip, available_flips
+from tiler.grid import E, N, S, W, Cell, is_black
+from tiler.tiling import g_of_tiling
+
+DIRECTIONS = (N, S, E, W)
+
+
+class NotACycle(TilerError):
+    """Vertex list is not an elementary closed walk of the figure graph."""
+
+
+class NotClockwise(TilerError):
+    """Cycle is not traversed clockwise."""
+
+
+class Unreachable(TilerError):
+    """No flip path between the two tilings (must not occur when tileable)."""
+
+
+def grid_arcs(graph):
+    """The arcs (u, v) of GridVertex in arc id order, read off the offsets
+    and heads."""
+    vs, off, head = graph.vertices, graph.offsets, graph.head
+    return [(vs[u], vs[head[k]]) for u in range(len(vs)) for k in range(off[u], off[u + 1])]
+
+
+def arc_t(graph, weights):
+    """t keyed by the arcs (u, v) of GridVertex."""
+    return dict(zip(grid_arcs(graph), weights.t))
+
+
+def _moves(cycle):
+    """The moves (u, v) of a closed walk that repeats no vertex."""
+    if len(cycle) < 2 or cycle[0] != cycle[-1]:
+        raise NotACycle("cycle must be closed")
+    if len(set(cycle)) != len(cycle) - 1:
+        raise NotACycle("cycle repeats a vertex")
+    return list(zip(cycle, cycle[1:]))
+
+
+def left_cell(p, d) -> Cell:
+    """Cell on the left of a unit move from lattice point p in direction d."""
+    x, y = p
+    dx, dy = d
+    return Cell((2 * x + dx - dy - 1) // 2, (2 * y + dy + dx - 1) // 2)
+
+
+def right_cell(p, d) -> Cell:
+    x, y = p
+    dx, dy = d
+    return Cell((2 * x + dx + dy - 1) // 2, (2 * y + dy - dx - 1) // 2)
+
+
+def spin_of_move(p, d) -> int:
+    """Spin of the move p -> p + d: +1 with a white cell on the left."""
+    return 1 if not is_black(left_cell(p, d)) else -1
+
+
+def cycle_spin(cycle) -> int:
+    """Sum of spins along a closed vertex walk."""
+    return sum(
+        spin_of_move((u.x, u.y), (v.x - u.x, v.y - u.y))
+        for u, v in zip(cycle, cycle[1:])
+    )
+
+
+def disequilibrium(figure, cycle) -> int:
+    """Black-minus-white count over the cells of the figure enclosed by an
+    elementary clockwise cycle."""
+    moves = _moves(cycle)
+    cells = figure.cells
+    for u, v in moves:
+        d = (v.x - u.x, v.y - u.y)
+        if d not in DIRECTIONS:
+            raise NotACycle(f"{u} -> {v} is not a unit step")
+        if left_cell((u.x, u.y), d) not in cells and right_cell((u.x, u.y), d) not in cells:
+            raise NotACycle(f"edge {u} -> {v} is not a side of a figure cell")
+    area2 = sum(u.x * v.y - v.x * u.y for u, v in moves)
+    if area2 >= 0:
+        raise NotClockwise("cycle is not clockwise")
+
+    # Vertical steps, for a winding count per cell row.
+    down = {}
+    up = {}
+    for u, v in moves:
+        if v.x == u.x:
+            if v.y == u.y + 1:
+                up.setdefault(u.y, []).append(u.x)
+            else:
+                down.setdefault(v.y, []).append(u.x)
+
+    total = 0
+    for cell in cells:
+        w = sum(1 for x in down.get(cell.y, ()) if x > cell.x)
+        w -= sum(1 for x in up.get(cell.y, ()) if x > cell.x)
+        if w == 1:
+            total += 1 if is_black(cell) else -1
+    return total
+
+
+def tiling_graph(graph, weights, tiling) -> frozenset:
+    """G_T: the arcs (u, v) with g_T = t; includes every boundary arc."""
+    kept = zip(grid_arcs(graph), g_of_tiling(graph, weights, tiling), weights.t)
+    return frozenset(a for a, g, t in kept if g == t)
+
+
+def _cycle_arcs(graph, weights, cycle) -> list:
+    """(t, spin, boundary flag) of each arc along an elementary closed walk
+    of the figure graph."""
+    facts = dict(zip(grid_arcs(graph), zip(weights.t, graph.spin, graph.boundary)))
+    try:
+        return [facts[a] for a in _moves(cycle)]
+    except KeyError as missing:
+        raise NotACycle(f"{missing.args[0]} is not an arc of the figure graph") from None
+
+
+def is_critical(graph, weights, cycle) -> bool:
+    """Elementary cycle with t(C) = 0."""
+    return sum(t for t, _, _ in _cycle_arcs(graph, weights, cycle)) == 0
+
+
+def is_strongly_critical(graph, weights, cycle) -> bool:
+    """Critical, with spin +1 on every non-boundary arc."""
+    arcs = _cycle_arcs(graph, weights, cycle)
+    return sum(t for t, _, _ in arcs) == 0 and all(s == 1 for _, s, b in arcs if not b)
+
+
+def edge_direction(heights, i: int, j: int, c: int):
+    """Orientation (i, j) or (j, i) of the edge that i lists as (j, c)."""
+    d = heights[j] - heights[i]
+    if d == c:
+        return (i, j)
+    # Quotient arcs are never boundary arcs, so the lower difference is c - 4.
+    assert d == c - 4, "arc difference outside {c - 4, c}"
+    return (j, i)
+
+
+def to_orientation(cg, hf) -> frozenset:
+    """The acyclic quotient orientation of hf, as ordered pairs of component
+    indices."""
+    heights = component_heights(cg, hf)
+    # Both ends of an edge list it, and give the same orientation.
+    arcs = frozenset(
+        edge_direction(heights, i, j, c) for i, pairs in enumerate(cg.quotient) for j, c in pairs
+    )
+    # Quotients of tiling graphs are acyclic.
+    sorter = TopologicalSorter()
+    for i, j in arcs:
+        sorter.add(j, i)
+    try:
+        sorter.prepare()
+    except CycleError:
+        raise AssertionError("orientation has a cycle") from None
+    return arcs
+
+
+def generalized_flip_adjacency(graph, weights, cg, heights):
+    """Adjacency of the generalized flip graph over the given height
+    functions, computed two independent ways and cross-checked.
+
+    The height criterion: two tilings are one flip apart iff their heights
+    differ by exactly 4 on a single forced component and agree elsewhere.
+    The dynamic criterion: apply every available flip and locate the result.
+    """
+    reps = [graph.vertices[r] for r in cg.representatives]
+    keys = [tuple(hf.h[v] for v in reps) for hf in heights]
+    index = {k: i for i, k in enumerate(keys)}
+
+    by_height = [set() for _ in heights]
+    for i, j in itertools.combinations(range(len(heights)), 2):
+        diffs = [abs(a - b) for a, b in zip(keys[i], keys[j])]
+        if max(diffs) == sum(diffs) == 4:
+            by_height[i].add(j)
+            by_height[j].add(i)
+
+    by_flip = [set() for _ in heights]
+    for i, hf in enumerate(heights):
+        for flip in available_flips(cg, weights, hf):
+            out = apply_flip(cg, weights, hf, flip)
+            j = index[tuple(out.h[v] for v in reps)]
+            by_flip[i].add(j)
+
+    if by_height != by_flip:
+        raise AssertionError("flip adjacency oracles disagree")
+    return by_height
+
+
+def bfs_distance(adjacency, start: int, goal: int) -> int:
+    """Shortest path length in an adjacency-list graph."""
+    if start == goal:
+        return 0
+    dist = {start: 0}
+    queue = deque([start])
+    while queue:
+        i = queue.popleft()
+        for j in adjacency[i]:
+            if j not in dist:
+                dist[j] = dist[i] + 1
+                if j == goal:
+                    return dist[j]
+                queue.append(j)
+    raise Unreachable(f"no flip path from {start} to {goal}")
