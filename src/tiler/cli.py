@@ -173,20 +173,20 @@ def _cmd_components(args, figure, graph, eqfn, weights):
 
 
 def _cmd_eq(args, figure, graph, eqfn, weights):
-    arcs = sorted((a, v) for a, v in eqfn.values.items() if v != 0)
+    # Arc ids are in (tail, head) GridVertex order.
+    vs, head, rev = graph.vertices, graph.head, graph.rev
+    arcs = [(vs[head[rev[k]]], vs[head[k]], val) for k, val in enumerate(eqfn.eq) if val]
     if args.json:
         out = {
             "format": JSON_FORMAT,
             "steps": {str(i): s for i, s in sorted(eqfn.steps.items())},
-            "arcs": [
-                {"from": list(a[0]), "to": list(a[1]), "value": v} for a, v in arcs
-            ],
+            "arcs": [{"from": list(u), "to": list(v), "value": val} for u, v, val in arcs],
         }
         print(json.dumps(out))
     else:
         for i, s in sorted(eqfn.steps.items()):
             print(f"step[{i}] = {s}")
-        for (u, v), val in arcs:
+        for u, v, val in arcs:
             print(f"{_vertex_str(u)}->{_vertex_str(v)}: {val}")
     return 0
 

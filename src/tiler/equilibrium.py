@@ -10,7 +10,7 @@ lower one is -t of the reversed arc.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .errors import TilerError
@@ -29,13 +29,11 @@ class CutLine:
 
 @dataclass
 class EquilibriumFunction:
-    """Sparse skew-symmetric arc weights plus the per-hole step values."""
+    """The per-hole step values, and eq by the arc ids of the figure graph
+    it was built for: eq[graph.rev[k]] == -eq[k]."""
 
     steps: dict
-    values: dict = field(default_factory=dict)
-
-    def __call__(self, a) -> int:
-        return self.values.get(a, 0)
+    eq: list
 
 
 @dataclass
@@ -76,10 +74,10 @@ def build_cut_lines(graph: FigureGraph):
     return lines
 
 
-def contour_spin(graph: FigureGraph, cycle) -> int:
-    """Sum of the arc spins along a closed walk of GridVertex."""
-    spin = graph.spin
-    return sum(spin[graph.arc_id(u, v)] for u, v in zip(cycle, cycle[1:]))
+def cycle_sum(graph: FigureGraph, per_arc, cycle) -> int:
+    """Sum of a list by arc id, such as `graph.spin` or eq, along a closed
+    walk of GridVertex."""
+    return sum(per_arc[graph.arc_id(u, v)] for u, v in zip(cycle, cycle[1:]))
 
 
 def step_values(graph: FigureGraph, cutlines) -> dict:
@@ -92,8 +90,8 @@ def step_values(graph: FigureGraph, cutlines) -> dict:
 
     def compute(hid):
         if hid not in steps:
-            steps[hid] = sum(compute(j) for j in children.get(hid, ())) - contour_spin(
-                graph, graph.holes[hid].clockwise_contour
+            steps[hid] = sum(compute(j) for j in children.get(hid, ())) - cycle_sum(
+                graph, graph.spin, graph.holes[hid].clockwise_contour
             )
         return steps[hid]
 
@@ -105,13 +103,10 @@ def step_values(graph: FigureGraph, cutlines) -> dict:
     return steps
 
 
-def make_weights(graph: FigureGraph, eqfn: EquilibriumFunction):
-    """Store t per arc (see ArcWeights) and the eq = 0 spanning tree; raise
-    TilerError if that tree does not span the graph.  b and eq - sp are read
-    off t and the spins where needed."""
-    eq = [0] * len(graph.head)
-    for (u, v), val in eqfn.values.items():
-        eq[graph.arc_id(u, v)] = val
+def make_weights(graph: FigureGraph, eq: list):
+    """Store t per arc (see ArcWeights) from eq by arc id, and the eq = 0
+    spanning tree; raise TilerError if that tree does not span the graph.
+    b and eq - sp are read off t and the spins where needed."""
     t = [e + s if b else e - s + 2 for e, s, b in zip(eq, graph.spin, graph.boundary)]
 
     off, head = graph.offsets, graph.head
@@ -135,33 +130,31 @@ def build_equilibrium(graph: FigureGraph):
     """Construct the cut-line equilibrium function and its arc weights."""
     cutlines = build_cut_lines(graph)
     steps = step_values(graph, cutlines)
-    values = {}
+    eq = [0] * len(graph.head)
+    crossed = set()  # arc ids: a step can be 0, so eq cannot tell
     for cl in cutlines:
         s = steps[cl.hole_id]
         for p, q in cl.crossed_edges:
-            east = (graph.vertex(p, E), graph.vertex(q, W))
-            west = (east[1], east[0])
-            assert east not in values, "cut lines overlap"
-            values[east] = s
-            values[west] = -s
-    eqfn = EquilibriumFunction(steps=steps, values=values)
-    return eqfn, make_weights(graph, eqfn)
-
-
-def cycle_eq(eqfn, cycle) -> int:
-    return sum(eqfn((u, v)) for u, v in zip(cycle, cycle[1:]))
+            k = graph.arc_id(graph.vertex(p, E), graph.vertex(q, W))  # eastward
+            assert k not in crossed, "cut lines overlap"
+            crossed.add(k)
+            eq[k] = s
+            eq[graph.rev[k]] = -s
+    return EquilibriumFunction(steps, eq), make_weights(graph, eq)
 
 
 def verify_equilibrium(graph: FigureGraph, eqfn) -> bool:
-    """Exhaustive check of the two defining conditions."""
-    for a, val in eqfn.values.items():
-        if eqfn((a[1], a[0])) != -val:
+    """Exhaustive check of the defining conditions: skew symmetry, and the
+    sums around every cell and every hole contour."""
+    eq, rev = eqfn.eq, graph.rev
+    for k, val in enumerate(eq):
+        if eq[rev[k]] != -val:
             return False
     for cell in graph.figure.cells:
-        if cycle_eq(eqfn, graph.cell_cycle(cell)) != 0:
+        if cycle_sum(graph, eq, graph.cell_cycle(cell)) != 0:
             return False
     for hole in graph.holes:
         c = hole.clockwise_contour
-        if cycle_eq(eqfn, c) != -contour_spin(graph, c):
+        if cycle_sum(graph, eq, c) != -cycle_sum(graph, graph.spin, c):
             return False
     return True

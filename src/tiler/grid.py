@@ -34,14 +34,8 @@ class GridVertex(NamedTuple):
     y: int
     copy: int = 0
 
-    @property
-    def point(self):
-        return (self.x, self.y)
 
-
-# At the API edge an arc is an ordered pair of GridVertex, as taken by
-# FigureGraph.arc_id, and a cycle is a vertex list with first == last.
-Arc = tuple
+# At the API edge a cycle is a GridVertex list with first == last.
 Cycle = list
 
 

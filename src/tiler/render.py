@@ -38,8 +38,9 @@ def tiling_to_json(tiling: Tiling) -> dict:
 def dominoes_from_json(data) -> list:
     if not isinstance(data, dict) or "dominoes" not in data:
         raise ParseError("tiling JSON must be an object with a 'dominoes' key")
-    if data.get("format", JSON_FORMAT) != JSON_FORMAT:
-        raise ParseError(f"unsupported tiling format {data.get('format')!r}")
+    fmt = data.get("format", JSON_FORMAT)
+    if type(fmt) is not int or fmt != JSON_FORMAT:  # true and 1.0 equal 1
+        raise ParseError(f"unsupported tiling format {fmt!r}")
     try:
         dominoes = [(tuple(c1), tuple(c2)) for c1, c2 in data["dominoes"]]
     except (TypeError, ValueError) as exc:

@@ -53,9 +53,6 @@ class Tiling:
     def dominoes(self):
         return tuple(sorted(tuple(sorted(axis_cells(a))) for a in self.axes))
 
-    def canonical(self):
-        return self.axes
-
 
 @dataclass
 class HeightFunction:

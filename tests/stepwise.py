@@ -455,11 +455,11 @@ def reference_arc_weights(graph, eqfn):
     elsewhere t = eq_r + 2 and b = eq_r - 2."""
     cells = graph.figure.cells
     out = {}
-    for a in grid_arcs(graph):
+    for a, eq in zip(grid_arcs(graph), eqfn.eq):
         u, v = a
         p, d = (u.x, u.y), (v.x - u.x, v.y - u.y)
         sp = spin_of_move(p, d)
-        eq_r = eqfn(a) - sp
+        eq_r = eq - sp
         if (left_cell(p, d) in cells) != (right_cell(p, d) in cells):
             out[a] = (eq_r, sp, eq_r + 2 * sp, eq_r + 2 * sp)
         else:

@@ -180,7 +180,7 @@ def test_08_cftp_exactness():
     # 2x2: two tilings, 10000 seeds, frequencies within [0.48, 0.52].
     _, graph, _, weights = built("2x2")
     counts = collections.Counter(
-        sample_uniform(graph, weights, seed).canonical()
+        sample_uniform(graph, weights, seed).axes
         for seed in range(10_000)
     )
     ok = ok and len(counts) == 2
@@ -191,9 +191,9 @@ def test_08_cftp_exactness():
     )
     # 2x4: chi-square over the 5 tilings below the 0.001 critical value.
     _, graph, _, weights = built("2x4")
-    support = {t.canonical() for t in enumerate_tilings(graph, weights)}
+    support = {t.axes for t in enumerate_tilings(graph, weights)}
     counts = collections.Counter(
-        sample_uniform(graph, weights, seed).canonical()
+        sample_uniform(graph, weights, seed).axes
         for seed in range(5_000)
     )
     ok = ok and set(counts) == support and len(support) == 5
@@ -209,7 +209,7 @@ def test_09_equilibrium_validity():
         fig, graph, eqfn, weights = built(name)
         n = len(fig)
         ok = ok and verify_equilibrium(graph, eqfn)
-        ok = ok and all(abs(eqfn(a)) <= 4 * n for a in grid_arcs(graph))
+        ok = ok and all(abs(e) <= 4 * n for e in eqfn.eq)
         # The eq = 0 tree: one arc into each vertex but w0 (id 0), each from
         # w0 or a vertex the tree reached before.
         vs, head, rev = graph.vertices, graph.head, graph.rev
@@ -218,5 +218,5 @@ def test_09_equilibrium_validity():
         reached = {0: -1, **{v: i for i, v in enumerate(heads)}}
         tails = [head[rev[k]] for k in weights.tree]
         ok = ok and all(reached[u] < i for i, u in enumerate(tails))
-        ok = ok and all(eqfn((vs[u], vs[v])) == 0 for u, v in zip(tails, heads))
+        ok = ok and all(eqfn.eq[k] == 0 for k in weights.tree)
     report(9, ok, "equilibrium verified; bound and spanning tree hold")

@@ -236,6 +236,8 @@ class TestBadInput:
             (b"\xff#\n##\n", TILING_2X2),
             (b"##\n##\n", b'{"dominoes": [[[0, 0], [1, 1]], [[1, 0], [0, 1]]]}'),
             (b"##\n##\n", b'{"dominoes": [[[0, 0], [0, 0]], [[1, 0], [1, 1]]]}'),
+            (b"##\n##\n", b'{"format": true, "dominoes": [[[0, 0], [0, 1]], [[1, 0], [1, 1]]]}'),
+            (b"##\n##\n", b'{"format": 1.0, "dominoes": [[[0, 0], [0, 1]], [[1, 0], [1, 1]]]}'),
         ],
         ids=[
             "three-coordinates",
@@ -246,6 +248,8 @@ class TestBadInput:
             "figure-not-utf8",
             "diagonal-domino",
             "same-cell-domino",
+            "format-bool",
+            "format-float",
         ],
     )
     def test_malformed_files(self, capsys, tmp_path, figure, tiling):

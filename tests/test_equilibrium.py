@@ -11,7 +11,7 @@ from tiler import pipeline
 from tiler.equilibrium import (
     EquilibriumFunction,
     build_cut_lines,
-    cycle_eq,
+    cycle_sum,
     make_weights,
     step_values,
     verify_equilibrium,
@@ -29,9 +29,9 @@ def assert_t_matches_eqfn(graph, eqfn, weights):
     arcs = grid_arcs(graph)
     t, sp = dict(zip(arcs, weights.t)), dict(zip(arcs, graph.spin))
     assert len(weights.t) == len(graph.spin) == len(arcs)
-    for a, boundary in zip(arcs, graph.boundary):
+    for a, boundary, eq in zip(arcs, graph.boundary, eqfn.eq):
         u, v = a
-        assert t[a] == (eqfn(a) + sp[a] if boundary else eqfn(a) - sp[a] + 2)
+        assert t[a] == (eq + sp[a] if boundary else eq - sp[a] + 2)
         assert -t[(v, u)] == (t[a] if boundary else t[a] - 4)
 
 
@@ -39,10 +39,8 @@ def perturbed(graph, eqfn, rng):
     """A second valid equilibrium function: eq + the differences of a random
     vertex potential."""
     f = {v: 4 * rng.randint(-2, 2) for v in graph.vertices}
-    values = {}
-    for u, v in grid_arcs(graph):
-        values[(u, v)] = eqfn((u, v)) + f[v] - f[u]
-    return EquilibriumFunction(steps=dict(eqfn.steps), values=values)
+    eq = [e + f[v] - f[u] for (u, v), e in zip(grid_arcs(graph), eqfn.eq)]
+    return EquilibriumFunction(steps=dict(eqfn.steps), eq=eq)
 
 
 class TestCutLines:
@@ -101,30 +99,46 @@ class TestBuildEquilibrium:
 
     def test_zero_function_hole_free(self):
         _, graph, _, _ = built("3x4")
-        assert verify_equilibrium(graph, EquilibriumFunction(steps={}))
+        zero = EquilibriumFunction(steps={}, eq=[0] * len(graph.head))
+        assert verify_equilibrium(graph, zero)
 
     def test_zero_function_fails_on_ring(self):
         _, graph, _, _ = built("3x3-ring")
-        assert not verify_equilibrium(graph, EquilibriumFunction(steps={}))
+        zero = EquilibriumFunction(steps={}, eq=[0] * len(graph.head))
+        assert not verify_equilibrium(graph, zero)
 
     def test_skew_symmetric(self, corpus_name):
         _, graph, eqfn, _ = built(corpus_name)
         for u, v in grid_arcs(graph):
-            assert eqfn((u, v)) == -eqfn((v, u))
+            assert eqfn.eq[graph.arc_id(u, v)] == -eqfn.eq[graph.arc_id(v, u)]
+
+    def test_skew_break_fails(self, corpus_name):
+        # An outer contour arc has the figure on its left, so it lies on no
+        # clockwise cell cycle and no hole contour: changing it without its
+        # reverse keeps every cycle sum and breaks skew symmetry alone.
+        _, graph, eqfn, _ = built(corpus_name)
+        eq = list(eqfn.eq)
+        eq[graph.arc_id(*graph.outer_contour[:2])] += 4
+        for cell in graph.figure.cells:
+            assert cycle_sum(graph, eq, graph.cell_cycle(cell)) == 0
+        for hole in graph.holes:
+            c = hole.clockwise_contour
+            assert cycle_sum(graph, eq, c) == -cycle_sum(graph, graph.spin, c)
+        assert not verify_equilibrium(graph, EquilibriumFunction(eqfn.steps, eq))
 
     def test_bound(self, corpus_name):
         fig, graph, eqfn, _ = built(corpus_name)
         n = len(fig)
-        assert all(abs(eqfn(a)) <= 4 * n for a in grid_arcs(graph))
+        assert all(abs(e) <= 4 * n for e in eqfn.eq)
 
     def test_support_is_on_cut_lines(self, corpus_name):
         _, graph, eqfn, _ = built(corpus_name)
         crossed = set()
         for cl in build_cut_lines(graph):
             crossed.update(cl.crossed_edges)
-        for (u, v), val in eqfn.values.items():
+        for (u, v), val in zip(grid_arcs(graph), eqfn.eq):
             if val:
-                key = tuple(sorted((u.point, v.point)))
+                key = tuple(sorted(((u.x, u.y), (v.x, v.y))))
                 assert key in crossed
 
 
@@ -137,13 +151,12 @@ class TestCycleSums:
         assert verify_equilibrium(graph, eqfn2)
         for cell in graph.figure.cells:
             cyc = graph.cell_cycle(cell)
-            assert cycle_eq(eqfn, cyc) == cycle_eq(eqfn2, cyc)
+            assert cycle_sum(graph, eqfn.eq, cyc) == cycle_sum(graph, eqfn2.eq, cyc)
         for hole in graph.holes:
             c = hole.clockwise_contour
-            assert cycle_eq(eqfn, c) == cycle_eq(eqfn2, c)
-        assert cycle_eq(eqfn, graph.outer_contour) == cycle_eq(
-            eqfn2, graph.outer_contour
-        )
+            assert cycle_sum(graph, eqfn.eq, c) == cycle_sum(graph, eqfn2.eq, c)
+        outer = graph.outer_contour
+        assert cycle_sum(graph, eqfn.eq, outer) == cycle_sum(graph, eqfn2.eq, outer)
 
 
 class TestWeights:
@@ -157,15 +170,12 @@ class TestWeights:
         reached = {0: -1, **{v: i for i, v in enumerate(heads)}}
         for i, k in enumerate(weights.tree):
             assert reached[head[rev[k]]] < i
-            assert eqfn((vs[head[rev[k]]], vs[head[k]])) == 0
+            assert eqfn.eq[k] == 0
 
     def test_tree_requirement_raised(self):
         # A potential-shifted equilibrium can have no eq = 0 spanning tree.
         _, graph, eqfn, _ = built("2x2")
-        values = {}
-        for u, v in grid_arcs(graph):
-            values[(u, v)] = eqfn((u, v)) + 4 * (u.x - v.x)
-        bad = EquilibriumFunction(steps={}, values=values)
+        bad = [e + 4 * (u.x - v.x) for (u, v), e in zip(grid_arcs(graph), eqfn.eq)]
         with pytest.raises(TilerError):
             make_weights(graph, bad)
 

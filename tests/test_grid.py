@@ -3,7 +3,7 @@ counts."""
 
 import pytest
 
-from tiler.equilibrium import contour_spin
+from tiler.equilibrium import cycle_sum
 from tiler.errors import ArcNotInFigure, Empty, NotConnected, ParseError
 from tiler.grid import Cell, GridVertex, build_graph, is_black, parse_figure
 
@@ -106,7 +106,7 @@ class TestBuildGraph:
 class TestDuplication:
     def test_pinch_vertex_split(self):
         graph = build_graph(parse_figure(".##\n#.#\n###"))
-        copies = {v for v in graph.vertices if v.point == (1, 2)}
+        copies = {v for v in graph.vertices if (v.x, v.y) == (1, 2)}
         assert copies == {GridVertex(1, 2, 0), GridVertex(1, 2, 1)}
         # Each copy keeps exactly two incident undirected edges.
         for v in copies:
@@ -160,7 +160,7 @@ class TestSpin:
             assert cycle_spin(cyc) == 4 * disequilibrium(fig, cyc)
         for hole in graph.holes:
             c = hole.clockwise_contour
-            assert contour_spin(graph, c) == cycle_spin(c)
+            assert cycle_sum(graph, graph.spin, c) == cycle_spin(c)
 
     def test_spin_on_outer_contour(self):
         # Hole-free figures: clockwise outer contour spin counts the color

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tiler.components import _strong_components, forced_components
-from tiler.equilibrium import build_equilibrium, verify_equilibrium
+from tiler.equilibrium import build_cut_lines, build_equilibrium, verify_equilibrium
 from tiler.errors import ParseError, TilerError, Untileable
 from tiler.flips import flip_path
 from tiler.generation import count_tilings, enumerate_tilings
@@ -67,7 +67,7 @@ def test_equilibrium_always_valid(figure):
     assert verify_equilibrium(graph, eqfn)
     assert_t_matches_eqfn(graph, eqfn, weights)
     n = len(figure)
-    assert all(abs(eqfn(a)) <= 4 * n for a in grid_arcs(graph))
+    assert all(abs(e) <= 4 * n for e in eqfn.eq)
 
 
 @settings(max_examples=60, deadline=None)
@@ -110,6 +110,27 @@ def masked_figures(draw, max_cells=49):
         return parse_figure(text)
     except ParseError:
         assume(False)
+
+
+@settings(max_examples=100, deadline=None)
+@given(masked_figures())
+def test_eq_is_on_cut_lines_only(figure):
+    """eq by arc id against the cut lines: each crossed edge's eastward arc
+    holds its hole's step and the westward arc minus it; every other arc
+    holds 0.  The mask is framed by a ring of cells, so every empty cell of
+    its bounding box is in a hole."""
+    x0, y0 = figure.min_x - 1, figure.min_y - 1
+    x1, y1 = x0 + figure.width + 1, y0 + figure.height + 1
+    ring = {Cell(x, y) for x in range(x0, x1 + 1) for y in (y0, y1)}
+    ring |= {Cell(x, y) for x in (x0, x1) for y in range(y0, y1 + 1)}
+    _, graph, eqfn, _ = pipeline_from_cells(figure.cells | ring)
+    expected = {}
+    for cl in build_cut_lines(graph):
+        for p, q in cl.crossed_edges:
+            expected[(p, q)] = eqfn.steps[cl.hole_id]
+            expected[(q, p)] = -eqfn.steps[cl.hole_id]
+    for (u, v), e in zip(grid_arcs(graph), eqfn.eq):
+        assert e == expected.get(((u.x, u.y), (v.x, v.y)), 0)
 
 
 @st.composite
@@ -207,8 +228,9 @@ def assert_arc_arrays_match_cells(graph):
         d = (q.x - p.x, q.y - p.y)
         assert rev[rev[k]] == k
         assert (tails[rev[k]], head[rev[k]]) == (v, u)
-        assert graph.spin[k] == spin_of_move(p.point, d)
-        figure_sides = sum(c in cells for c in (left_cell(p.point, d), right_cell(p.point, d)))
+        point = (p.x, p.y)
+        assert graph.spin[k] == spin_of_move(point, d)
+        figure_sides = sum(c in cells for c in (left_cell(point, d), right_cell(point, d)))
         assert figure_sides in (1, 2) and graph.boundary[k] == (figure_sides == 1)
         assert graph.axis[k] == arc_axis_key((p, q)) and graph.axis[k] is graph.axis[rev[k]]
     eqfn, weights = build_equilibrium(graph)

@@ -202,7 +202,7 @@ class TestHeightInvariants:
             eqfn2 = perturbed(graph, eqfn, random.Random(7))
             # t is eq plus a fixed per-arc term, so it moves with eq.
             weights2 = dataclasses.replace(
-                weights, t=[x + eqfn2(a) - eqfn(a) for a, x in zip(grid_arcs(graph), weights.t)]
+                weights, t=[x + e2 - e for x, e2, e in zip(weights.t, eqfn2.eq, eqfn.eq)]
             )
             tilings = list(enumerate_tilings(graph, weights))
             hs1 = [height_of_tiling(graph, weights, t) for t in tilings]
