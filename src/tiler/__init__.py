@@ -5,7 +5,6 @@ from .components import ComponentGraph, forced_components
 from .equilibrium import (
     ArcWeights,
     CutLine,
-    EquilibriumFunction,
     build_cut_lines,
     build_equilibrium,
     make_weights,
@@ -59,5 +58,5 @@ def pipeline(text: str):
     """Parse a figure and build its graph and equilibrium weights."""
     figure = parse_figure(text)
     graph = build_graph(figure)
-    eqfn, weights = build_equilibrium(graph)
-    return figure, graph, eqfn, weights
+    steps, weights = build_equilibrium(graph)
+    return figure, graph, steps, weights

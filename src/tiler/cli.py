@@ -12,7 +12,7 @@ import sys
 
 from . import pipeline
 from .components import forced_components, quotient_edges
-from .equilibrium import verify_equilibrium
+from .equilibrium import eq_values, verify_equilibrium
 from .errors import ParseError, TilerError, Untileable
 from .flips import flip_distance, flip_path, local_flip_connected, local_flip_count
 from .generation import _draw_sample, _prepare_sampler, count_tilings, enumerate_tilings
@@ -49,7 +49,7 @@ def _emit_tiling(figure, tiling, as_json):
         print(render_tiling(figure, tiling))
 
 
-def _cmd_check(args, figure, graph, eqfn, weights):
+def _cmd_check(args, figure, graph, steps, weights):
     tileable = True
     try:
         minimal_height(graph, weights)
@@ -59,7 +59,7 @@ def _cmd_check(args, figure, graph, eqfn, weights):
         "format": JSON_FORMAT,
         "cells": len(figure),
         "holes": len(graph.holes),
-        "equilibrium_ok": verify_equilibrium(graph, eqfn),
+        "equilibrium_ok": verify_equilibrium(graph, weights),
         "tileable": tileable,
     }
     if args.json:
@@ -71,19 +71,19 @@ def _cmd_check(args, figure, graph, eqfn, weights):
     return 0 if tileable else 1
 
 
-def _cmd_extreme(args, figure, graph, eqfn, weights):
+def _cmd_extreme(args, figure, graph, steps, weights):
     tiling = min_tiling(graph, weights) if args.verb == "min" else max_tiling(graph, weights)
     _emit_tiling(figure, tiling, args.json)
     return 0
 
 
-def _cmd_count(args, figure, graph, eqfn, weights):
+def _cmd_count(args, figure, graph, steps, weights):
     n = count_tilings(graph, weights)
     print(json.dumps({"format": JSON_FORMAT, "count": n}) if args.json else n)
     return 0
 
 
-def _cmd_enum(args, figure, graph, eqfn, weights):
+def _cmd_enum(args, figure, graph, steps, weights):
     stream = enumerate_tilings(graph, weights)
     if args.limit is not None:
         stream = itertools.islice(stream, args.limit)
@@ -97,7 +97,7 @@ def _cmd_enum(args, figure, graph, eqfn, weights):
     return 0
 
 
-def _cmd_sample(args, figure, graph, eqfn, weights):
+def _cmd_sample(args, figure, graph, steps, weights):
     prepared = _prepare_sampler(graph, weights)
     samples = [
         (seed, _draw_sample(graph, weights, prepared, seed))
@@ -116,7 +116,7 @@ def _cmd_sample(args, figure, graph, eqfn, weights):
     return 0
 
 
-def _cmd_dist(args, figure, graph, eqfn, weights):
+def _cmd_dist(args, figure, graph, steps, weights):
     heights = []
     for path in (args.t1, args.t2):
         try:
@@ -150,7 +150,7 @@ def _cmd_dist(args, figure, graph, eqfn, weights):
     return 0
 
 
-def _cmd_components(args, figure, graph, eqfn, weights):
+def _cmd_components(args, figure, graph, steps, weights):
     cg = forced_components(graph, weights, min_tiling(graph, weights))
     reps = [graph.vertices[r] for r in cg.representatives]
     rows = list(zip(cg.kinds, map(len, cg.components), reps))
@@ -172,26 +172,27 @@ def _cmd_components(args, figure, graph, eqfn, weights):
     return 0
 
 
-def _cmd_eq(args, figure, graph, eqfn, weights):
+def _cmd_eq(args, figure, graph, steps, weights):
     # Arc ids are in (tail, head) GridVertex order.
     vs, head, rev = graph.vertices, graph.head, graph.rev
-    arcs = [(vs[head[rev[k]]], vs[head[k]], val) for k, val in enumerate(eqfn.eq) if val]
+    eq = eq_values(graph, weights)
+    arcs = [(vs[head[rev[k]]], vs[head[k]], val) for k, val in enumerate(eq) if val]
     if args.json:
         out = {
             "format": JSON_FORMAT,
-            "steps": {str(i): s for i, s in sorted(eqfn.steps.items())},
+            "steps": {str(i): s for i, s in sorted(steps.items())},
             "arcs": [{"from": list(u), "to": list(v), "value": val} for u, v, val in arcs],
         }
         print(json.dumps(out))
     else:
-        for i, s in sorted(eqfn.steps.items()):
+        for i, s in sorted(steps.items()):
             print(f"step[{i}] = {s}")
         for u, v, val in arcs:
             print(f"{_vertex_str(u)}->{_vertex_str(v)}: {val}")
     return 0
 
 
-def _cmd_oracle_count(args, figure, graph, eqfn, weights):
+def _cmd_oracle_count(args, figure, graph, steps, weights):
     print(len(brute_enumerate(figure)))
     return 0
 

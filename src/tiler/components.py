@@ -103,7 +103,7 @@ def forced_components(graph: FigureGraph, weights: ArcWeights, tiling: Tiling) -
         for v in c:
             comp[v] = i
             offset[v] -= base
-    hole_vertices = {graph.index[v] for h in graph.holes for v in h.clockwise_contour}
+    hole_vertices = {head[k] for h in graph.holes for k in h.contour}
     infinity = comp[0]  # w0's
     kinds = [SINGLE if hole_vertices.isdisjoint(c) else HOLE for c in comps]
     kinds[infinity] = INFINITY

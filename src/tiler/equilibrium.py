@@ -4,7 +4,7 @@ An equilibrium function is a skew-symmetric arc weight eq with eq(C) = 0
 around every cell and eq(C) = -sp(C) around every clockwise hole contour.
 It neutralizes holes so that height functions stay single-valued.  The
 derived weight t is the upper admissible height difference per arc; the
-lower one is -t of the reversed arc.
+lower one is -t of the reversed arc.  Only t is kept: eq is read off it.
 """
 
 from __future__ import annotations
@@ -24,16 +24,7 @@ class CutLine:
 
     hole_id: int
     predecessor: Optional[int]
-    crossed_edges: tuple  # horizontal edges ((x,y),(x+1,y)), bottom to top
-
-
-@dataclass
-class EquilibriumFunction:
-    """The per-hole step values, and eq by the arc ids of the figure graph
-    it was built for: eq[graph.rev[k]] == -eq[k]."""
-
-    steps: dict
-    eq: list
+    crossed: tuple  # eastward arc ids of the horizontal edges crossed, bottom to top
 
 
 @dataclass
@@ -63,21 +54,18 @@ def build_cut_lines(graph: FigureGraph):
         k = 1
         while Cell(cx, top + k) in cells:
             k += 1
-        crossed = tuple(((cx, y), (cx + 1, y)) for y in range(top + 1, top + k + 1))
+        crossed = tuple(
+            graph.arc_id(graph.vertex((cx, y), E), graph.vertex((cx + 1, y), W))
+            for y in range(top + 1, top + k + 1)
+        )
         lines.append(
             CutLine(
                 hole_id=hole.id,
                 predecessor=graph.complement_component(Cell(cx, top + k)),
-                crossed_edges=crossed,
+                crossed=crossed,
             )
         )
     return lines
-
-
-def cycle_sum(graph: FigureGraph, per_arc, cycle) -> int:
-    """Sum of a list by arc id, such as `graph.spin` or eq, along a closed
-    walk of GridVertex."""
-    return sum(per_arc[graph.arc_id(u, v)] for u, v in zip(cycle, cycle[1:]))
 
 
 def step_values(graph: FigureGraph, cutlines) -> dict:
@@ -90,8 +78,8 @@ def step_values(graph: FigureGraph, cutlines) -> dict:
 
     def compute(hid):
         if hid not in steps:
-            steps[hid] = sum(compute(j) for j in children.get(hid, ())) - cycle_sum(
-                graph, graph.spin, graph.holes[hid].clockwise_contour
+            steps[hid] = sum(compute(j) for j in children.get(hid, ())) - sum(
+                graph.spin[k] for k in graph.holes[hid].contour
             )
         return steps[hid]
 
@@ -127,34 +115,38 @@ def make_weights(graph: FigureGraph, eq: list):
 
 
 def build_equilibrium(graph: FigureGraph):
-    """Construct the cut-line equilibrium function and its arc weights."""
+    """The cut-line equilibrium function as (step value per hole, arc
+    weights): each cut line puts its hole's step on the eastward arcs it
+    crosses and minus the step on their reverses; eq is 0 elsewhere."""
     cutlines = build_cut_lines(graph)
     steps = step_values(graph, cutlines)
     eq = [0] * len(graph.head)
     crossed = set()  # arc ids: a step can be 0, so eq cannot tell
     for cl in cutlines:
         s = steps[cl.hole_id]
-        for p, q in cl.crossed_edges:
-            k = graph.arc_id(graph.vertex(p, E), graph.vertex(q, W))  # eastward
+        for k in cl.crossed:
             assert k not in crossed, "cut lines overlap"
             crossed.add(k)
             eq[k] = s
             eq[graph.rev[k]] = -s
-    return EquilibriumFunction(steps, eq), make_weights(graph, eq)
+    return steps, make_weights(graph, eq)
 
 
-def verify_equilibrium(graph: FigureGraph, eqfn) -> bool:
-    """Exhaustive check of the defining conditions: skew symmetry, and the
-    sums around every cell and every hole contour."""
-    eq, rev = eqfn.eq, graph.rev
-    for k, val in enumerate(eq):
-        if eq[rev[k]] != -val:
-            return False
-    for cell in graph.figure.cells:
-        if cycle_sum(graph, eq, graph.cell_cycle(cell)) != 0:
-            return False
-    for hole in graph.holes:
-        c = hole.clockwise_contour
-        if cycle_sum(graph, eq, c) != -cycle_sum(graph, graph.spin, c):
-            return False
-    return True
+def eq_values(graph: FigureGraph, weights: ArcWeights) -> list:
+    """eq by arc id, read off t (see ArcWeights): t - sp on boundary arcs,
+    t + sp - 2 elsewhere."""
+    return [
+        tk - s if b else tk + s - 2 for tk, s, b in zip(weights.t, graph.spin, graph.boundary)
+    ]
+
+
+def verify_equilibrium(graph: FigureGraph, weights: ArcWeights) -> bool:
+    """Exhaustive check of the defining conditions on the eq that t
+    carries: skew symmetry, and the sums around every cell and every hole
+    contour."""
+    eq, spin = eq_values(graph, weights), graph.spin
+    if any(eq[r] != -val for val, r in zip(eq, graph.rev)):
+        return False
+    if any(sum(eq[k] for k in graph.cell_arcs(cell)) for cell in graph.figure.cells):
+        return False
+    return not any(sum(eq[k] + spin[k] for k in hole.contour) for hole in graph.holes)

@@ -57,10 +57,6 @@ class Untileable(TilerError):
     """The figure admits no domino tiling."""
 
 
-class NotTileable(Untileable):
-    """Sampling requested on an untileable figure."""
-
-
 class TooLarge(TilerError):
     """A resource limit is exceeded: the brute-force oracle's cell cap or the
     sampler's window cap."""

@@ -11,7 +11,7 @@ from _blake2 import blake2b
 
 from .components import ComponentGraph, component_heights, forced_components, height_function
 from .equilibrium import ArcWeights
-from .errors import NotTileable, TooLarge, Untileable
+from .errors import TooLarge, Untileable
 from .flips import DOWN, UP, try_flip_inplace
 from .grid import FigureGraph
 from .lattice import maximal_height, minimal_height
@@ -94,11 +94,9 @@ def plan_update(seed: int, when: int, q: int):
 def _prepare_sampler(graph: FigureGraph, weights: ArcWeights):
     """What every sample of a figure shares: (min heights, forced components,
     component order, component heights of the min and of the max); all but
-    the first are None when the figure has a single tiling."""
-    try:
-        hmin, _ = minimal_height(graph, weights)
-    except Untileable as exc:
-        raise NotTileable(str(exc)) from exc
+    the first are None when the figure has a single tiling.  Raises
+    Untileable."""
+    hmin, _ = minimal_height(graph, weights)
     hmax, _ = maximal_height(graph, weights)
     if hmin.h == hmax.h:
         return hmin, None, None, None, None

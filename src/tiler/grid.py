@@ -35,10 +35,6 @@ class GridVertex(NamedTuple):
     copy: int = 0
 
 
-# At the API edge a cycle is a GridVertex list with first == last.
-Cycle = list
-
-
 def is_black(cell) -> bool:
     """Checkerboard coloring: cell (x, y) is black iff x + y is even."""
     return (cell[0] + cell[1]) % 2 == 0
@@ -126,7 +122,7 @@ class Hole:
 
     id: int
     cells: frozenset
-    clockwise_contour: Cycle
+    contour: tuple  # arc ids clockwise around the hole, from its least tail
 
 
 @dataclass
@@ -142,7 +138,9 @@ class FigureGraph:
     the left), the boundary flag (no figure cell across the side), the id of
     the reverse arc, and the side as a sorted pair of lattice points (one
     tuple per side, shared by its two arcs).  The tail of arc k is
-    head[rev[k]].
+    head[rev[k]].  The contours, `outer` and each hole's `contour`, are
+    closed walks of arc ids, the figure on their left: each arc's head is
+    the next one's tail.
     """
 
     figure: Figure
@@ -155,7 +153,7 @@ class FigureGraph:
     rev: array  # 'i': 4 bytes per arc, where a list would also hold an int object each
     axis: list
     holes: list
-    outer_contour: Cycle  # counterclockwise around the figure, from w0
+    outer: tuple  # arc ids counterclockwise around the figure, from w0
     _dup: dict = field(repr=False)  # pinch point -> "NE/SW" or "NW/SE"
     _comp_of_cell: dict = field(repr=False)
     # Interned central axes, filled by `tiling.validate_tiling`, so every
@@ -188,13 +186,13 @@ class FigureGraph:
         """Hole id containing the cell, or None for the infinite component."""
         return self._comp_of_cell.get(Cell(cell[0], cell[1]))
 
-    def cell_cycle(self, cell) -> Cycle:
-        """Clockwise elementary 4-cycle around one cell of the figure."""
+    def cell_arcs(self, cell) -> list:
+        """The four arc ids clockwise around one cell of the figure, from
+        its upper left corner."""
         x, y = cell
         corners = [((x, y + 1), E), ((x + 1, y + 1), S), ((x + 1, y), W), ((x, y), N)]
         cyc = [self.vertex(p, d) for p, d in corners]
-        cyc.append(cyc[0])
-        return cyc
+        return [self.arc_id(u, v) for u, v in zip(cyc, cyc[1:] + cyc[:1])]
 
 # The moves from a lattice point in the order of their heads' ids, and per
 # pinch pattern the copy of the pinch point that owns each move: copy 0
@@ -285,7 +283,7 @@ def build_graph(figure: Figure) -> FigureGraph:
     moves = ((-rows, -rows - 1, -rows), (-1, -1, -rows - 1), (1, -rows, 0), (rows, 0, -1))
     offsets = [0]
     head, spin, boundary, rev, axis = [], [], [], array("i"), []
-    f_on_left = {}  # tail id -> (head id, label across) on figure-on-the-left boundary arcs
+    f_on_left = {}  # tail id -> (arc id, label across) on figure-on-the-left boundary arcs
     for u, p in enumerate(keys):
         owner = _OWNER.get(pinch.get(p)) if pinch else None
         copy = u - first[p]
@@ -314,35 +312,32 @@ def build_graph(figure: Figure) -> FigureGraph:
                 axis.append((points[u], points[v]))
             if left and not right:
                 assert u not in f_on_left, "non-elementary contour at %s" % (vertices[u],)
-                f_on_left[u] = (v, label[p + ro])
+                f_on_left[u] = (k, label[p + ro])
         offsets.append(len(head))
 
-    # Extract contour cycles: one counterclockwise outer contour, one
-    # clockwise contour per hole (the complement sits on the walker's right).
+    # Extract contour cycles as arc ids: one counterclockwise outer
+    # contour, one clockwise contour per hole (the complement sits on the
+    # walker's right), each from the arc leaving its least tail.
     contours = {}
     while f_on_left:
-        u0, (v, comp) = f_on_left.popitem()
-        cyc = [u0, v]
-        while v != u0:
-            v, c = f_on_left.pop(v)
+        u, (k, comp) = f_on_left.popitem()
+        tails, arcs = [u], [k]
+        while head[k] != tails[0]:
+            u = head[k]
+            k, c = f_on_left.pop(u)
             assert c == comp
-            cyc.append(v)
+            tails.append(u)
+            arcs.append(k)
         assert comp not in contours, "complement component with two contours"
-        contours[comp] = cyc
-
-    def contour(comp):
-        """The contour of a complement component as GridVertex, from its
-        least vertex."""
-        cyc = contours[comp]
-        i = cyc.index(min(cyc))
-        return [vertices[v] for v in cyc[i:-1] + cyc[: i + 1]]
+        i = tails.index(min(tails))
+        contours[comp] = tuple(arcs[i:] + arcs[:i])
 
     def cell(key):
         cx, cy = divmod(key, rows)
         return Cell(x0 + cx, y0 + cy)
 
-    outer = contour(None)
-    assert outer[0] is vertices[0], "least vertex off the outer contour"
+    outer = contours[None]
+    assert head[rev[outer[0]]] == 0, "least vertex off the outer contour"
     holes = []
     comp_of_cell = {}
     for hid, hkeys in enumerate(hole_keys):
@@ -350,7 +345,7 @@ def build_graph(figure: Figure) -> FigureGraph:
         comp_of_cell.update(dict.fromkeys(hcells, hid))
         # Walking with the figure on the left keeps the hole on the right,
         # i.e. its contour is already clockwise around the hole.
-        holes.append(Hole(id=hid, cells=frozenset(hcells), clockwise_contour=contour(hid)))
+        holes.append(Hole(id=hid, cells=frozenset(hcells), contour=contours[hid]))
 
     return FigureGraph(
         figure=figure,
@@ -363,7 +358,7 @@ def build_graph(figure: Figure) -> FigureGraph:
         rev=rev,
         axis=axis,
         holes=holes,
-        outer_contour=outer,
+        outer=outer,
         _dup={tuple(cell(p)): pattern for p, pattern in pinch.items()},
         _comp_of_cell=comp_of_cell,
     )

@@ -62,14 +62,15 @@ def delta(h1: HeightFunction, h2: HeightFunction, components) -> int:
 def _boundary_heights(graph: FigureGraph, weights: ArcWeights) -> dict:
     """Integrate g_F = t along the outer contour, as vertex id -> height;
     every tiling agrees with these values."""
-    t, index = weights.t, graph.index
-    contour = graph.outer_contour
-    h = {0: 0}  # contour[0] is w0, id 0
-    for u, v in zip(contour, contour[1:]):
-        val = h[index[u]] + t[graph.arc_id(u, v)]
-        i = index[v]
-        if h.setdefault(i, val) != val:
-            msg = f"outer boundary heights are contradictory: {v} at height {val}, not {h[i]}"
+    t, head = weights.t, graph.head
+    h = {0: 0}  # the outer contour leaves w0, id 0
+    u = 0
+    for k in graph.outer:
+        val = h[u] + t[k]
+        u = head[k]
+        if h.setdefault(u, val) != val:
+            v = graph.vertices[u]
+            msg = f"outer boundary heights are contradictory: {v} at height {val}, not {h[u]}"
             raise Untileable(msg)
     return h
 

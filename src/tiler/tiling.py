@@ -113,18 +113,13 @@ def g_of_tiling(graph: FigureGraph, weights: ArcWeights, tiling: Tiling) -> list
 
 
 def height_of_tiling(graph: FigureGraph, weights: ArcWeights, tiling: Tiling):
-    """Integrate g_T from w0; the sum is path-independent for valid input."""
+    """Integrate g_T from w0 along the spanning tree, then check it on every
+    arc: the sum is path-independent for valid input."""
     g = g_of_tiling(graph, weights, tiling)
     t, head, rev, off, vs = weights.t, graph.head, graph.rev, graph.offsets, graph.vertices
-    h = [None] * len(vs)
-    h[0] = 0  # w0
-    order = [0]
-    for u in order:  # breadth first; order grows while it is walked
-        for k in range(off[u], off[u + 1]):
-            v = head[k]
-            if h[v] is None:
-                h[v] = h[u] + g[k]
-                order.append(v)
+    h = [0] * len(vs)  # w0, id 0, stays at 0
+    for k in weights.tree:  # parents first
+        h[head[k]] = h[head[rev[k]]] + g[k]
     for u, hu in enumerate(h):
         for k in range(off[u], off[u + 1]):
             val = g[k]

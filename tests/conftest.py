@@ -50,7 +50,7 @@ _cache = {}
 
 
 def built(name):
-    """(figure, graph, eqfn, weights) for a corpus figure, cached."""
+    """(figure, graph, steps, weights) for a corpus figure, cached."""
     if name not in _cache:
         _cache[name] = pipeline(CORPUS[name])
     return _cache[name]

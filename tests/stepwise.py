@@ -29,7 +29,8 @@ height dicts.
 
 `reference_g_of_tiling` and `reference_tiling_of_height` are the encode and
 decode as they were when the weights stored eq_r = eq - sp and b beside t:
-both recompute those from the equilibrium function and the spins.
+both recompute those from eq and the spins.  `reference_eq` gives that eq
+from the cut lines and the step values, without reading t.
 """
 
 import hashlib
@@ -46,6 +47,7 @@ from tiler.components import (
     forced_components,
     height_function,
 )
+from tiler.equilibrium import build_cut_lines
 from tiler.errors import NotAHeightFunction, TilerError, Untileable
 from tiler.flips import DOWN, UP, Flip, try_flip_inplace
 from tiler.generation import enumerate_tilings
@@ -380,7 +382,7 @@ def reference_forced_components(graph, weights, tiling):
     comps = tarjan_components(sorted(graph.vertices), out)
     comps = sorted((frozenset(c) for c in comps), key=min)
     comp_of = {v: i for i, c in enumerate(comps) for v in c}
-    hole_vertices = {v for h in graph.holes for v in h.clockwise_contour}
+    hole_vertices = {graph.vertices[graph.head[k]] for h in graph.holes for k in h.contour}
     infinity = comp_of[graph.w0]
     kinds = []
     for i, c in enumerate(comps):
@@ -449,17 +451,31 @@ def assert_components_match_reference(graph, weights):
             assert sorted(pairs) == sorted(expected)
 
 
-def reference_arc_weights(graph, eqfn):
-    """Per arc (eq_r, sp, b, t), from eqfn and the spins: eq_r = eq - sp; on
-    boundary arcs (one figure cell beside the side) t = b = eq + sp,
-    elsewhere t = eq_r + 2 and b = eq_r - 2."""
+def reference_eq(graph, steps):
+    """eq by arc id from the cut lines and the step values: each hole's step
+    on the eastward arc of every side its cut line crosses, minus the step
+    on the westward arc, and 0 on every other arc."""
+    step_of = {}
+    for cl in build_cut_lines(graph):
+        for k in cl.crossed:
+            p, q = graph.axis[k]
+            assert q == (p[0] + 1, p[1]) and graph.vertices[graph.head[k]][:2] == q
+            step_of[(p, q)] = steps[cl.hole_id]
+            step_of[(q, p)] = -steps[cl.hole_id]
+    return [step_of.get(((u.x, u.y), (v.x, v.y)), 0) for u, v in grid_arcs(graph)]
+
+
+def reference_arc_weights(graph, eq):
+    """Per arc (eq_r, sp, b, t), from eq by arc id (see `reference_eq`) and
+    the spins: eq_r = eq - sp; on boundary arcs (one figure cell beside the
+    side) t = b = eq + sp, elsewhere t = eq_r + 2 and b = eq_r - 2."""
     cells = graph.figure.cells
     out = {}
-    for a, eq in zip(grid_arcs(graph), eqfn.eq):
+    for a, e in zip(grid_arcs(graph), eq):
         u, v = a
         p, d = (u.x, u.y), (v.x - u.x, v.y - u.y)
         sp = spin_of_move(p, d)
-        eq_r = eq - sp
+        eq_r = e - sp
         if (left_cell(p, d) in cells) != (right_cell(p, d) in cells):
             out[a] = (eq_r, sp, eq_r + 2 * sp, eq_r + 2 * sp)
         else:
@@ -467,19 +483,19 @@ def reference_arc_weights(graph, eqfn):
     return out
 
 
-def reference_g_of_tiling(graph, eqfn, tiling):
+def reference_g_of_tiling(graph, eq, tiling):
     """g_T(a) = eq_r(a) + 2 sp(a) (1 - 2 chi_T(a)) for any axis set."""
     return {
         a: eq_r + 2 * sp * (1 - 2 * (arc_axis_key(a) in tiling.axes))
-        for a, (eq_r, sp, _, _) in reference_arc_weights(graph, eqfn).items()
+        for a, (eq_r, sp, _, _) in reference_arc_weights(graph, eq).items()
     }
 
 
-def reference_tiling_of_height(graph, eqfn, hf):
+def reference_tiling_of_height(graph, eq, hf):
     """Every difference must lie in {b, t}; the axes are the arcs whose
     difference is eq_r - 2 sp."""
     axes = set()
-    for (u, v), (eq_r, sp, b, t) in reference_arc_weights(graph, eqfn).items():
+    for (u, v), (eq_r, sp, b, t) in reference_arc_weights(graph, eq).items():
         d = hf.h[v] - hf.h[u]
         if d not in (b, t):
             raise NotAHeightFunction(f"difference {d} on arc {(u, v)} outside {{b, t}}")

@@ -10,7 +10,7 @@ import collections
 import itertools
 
 from tiler.components import forced_components
-from tiler.equilibrium import verify_equilibrium
+from tiler.equilibrium import eq_values, verify_equilibrium
 from tiler.errors import Untileable
 from tiler.flips import apply_flip, flip_distance, flip_path, local_flip_connected
 from tiler.generation import enumerate_tilings, sample_uniform
@@ -25,7 +25,7 @@ from tiler.oracle import brute_enumerate
 from tiler.tiling import height_of_tiling, tiling_of_height
 
 from .conftest import COUNTS, CORPUS, ENUMERABLE, built
-from .theory import bfs_distance, generalized_flip_adjacency, grid_arcs
+from .theory import bfs_distance, closed_walk, generalized_flip_adjacency, grid_arcs
 
 # Chi-square critical value at significance 0.001 with 4 degrees of freedom.
 CHI2_CRIT_4DOF = 18.47
@@ -87,12 +87,12 @@ def test_03_height_invariants():
         graph, weights, heights = heights_of(name)
         for h in heights:
             for cell in graph.figure.cells:
-                cyc = graph.cell_cycle(cell)
+                cyc = closed_walk(graph, graph.cell_arcs(cell))
                 ok = ok and sum(
                     h.h[v] - h.h[u] for u, v in zip(cyc, cyc[1:])
                 ) == 0
             for hole in graph.holes:
-                c = hole.clockwise_contour
+                c = closed_walk(graph, hole.contour)
                 ok = ok and sum(h.h[v] - h.h[u] for u, v in zip(c, c[1:])) == 0
         boundary_arcs = [a for a, b in zip(grid_arcs(graph), graph.boundary) if b]
         for h1, h2 in itertools.combinations(heights, 2):
@@ -206,10 +206,11 @@ def test_08_cftp_exactness():
 def test_09_equilibrium_validity():
     ok = True
     for name in CORPUS:
-        fig, graph, eqfn, weights = built(name)
+        fig, graph, _, weights = built(name)
         n = len(fig)
-        ok = ok and verify_equilibrium(graph, eqfn)
-        ok = ok and all(abs(e) <= 4 * n for e in eqfn.eq)
+        eq = eq_values(graph, weights)
+        ok = ok and verify_equilibrium(graph, weights)
+        ok = ok and all(abs(e) <= 4 * n for e in eq)
         # The eq = 0 tree: one arc into each vertex but w0 (id 0), each from
         # w0 or a vertex the tree reached before.
         vs, head, rev = graph.vertices, graph.head, graph.rev
@@ -218,5 +219,5 @@ def test_09_equilibrium_validity():
         reached = {0: -1, **{v: i for i, v in enumerate(heads)}}
         tails = [head[rev[k]] for k in weights.tree]
         ok = ok and all(reached[u] < i for i, u in enumerate(tails))
-        ok = ok and all(eqfn.eq[k] == 0 for k in weights.tree)
+        ok = ok and all(eq[k] == 0 for k in weights.tree)
     report(9, ok, "equilibrium verified; bound and spanning tree hold")

@@ -26,6 +26,7 @@ from .stepwise import assert_components_match_reference
 from .theory import (
     NotACycle,
     arc_t,
+    closed_walk,
     grid_arcs,
     is_critical,
     is_strongly_critical,
@@ -55,7 +56,7 @@ class TestTilingGraph:
             for tiling in enumerate_tilings(graph, weights):
                 gt = tiling_graph(graph, weights, tiling)
                 for hole in graph.holes:
-                    c = hole.clockwise_contour
+                    c = closed_walk(graph, hole.contour)
                     assert all((u, v) in gt for u, v in zip(c, c[1:]))
 
     def test_2x2_center(self):
@@ -94,7 +95,7 @@ class TestForcedComponents:
         _, graph, _, _ = built("3x3-ring")
         holes = [i for i, k in enumerate(cg.kinds) if k == HOLE]
         assert len(holes) == 1
-        contour = set(graph.holes[0].clockwise_contour)
+        contour = set(closed_walk(graph, graph.holes[0].contour))
         assert contour <= {graph.vertices[v] for v in cg.components[holes[0]]}
 
     def test_neighbors(self, corpus_name):
@@ -261,7 +262,7 @@ class TestCriticalCycles:
         for name in ("3x3-ring", "4x4-minus-2x2", "8x8-two-holes"):
             _, graph, _, weights = built(name)
             for hole in graph.holes:
-                c = hole.clockwise_contour
+                c = closed_walk(graph, hole.contour)
                 assert is_critical(graph, weights, c)
                 assert is_strongly_critical(graph, weights, c)
 
@@ -269,17 +270,17 @@ class TestCriticalCycles:
         # Clockwise outer contour: t(C) = sp(C) = 4 * (black - white).
         for name, critical in [("2x3", True), ("t-tetromino", False)]:
             _, graph, _, weights = built(name)
-            cw = list(reversed(graph.outer_contour))
+            cw = list(reversed(closed_walk(graph, graph.outer)))
             assert is_critical(graph, weights, cw) == critical
 
     def test_cell_cycle_not_critical(self):
         _, graph, _, weights = built("2x2")
-        assert not is_critical(graph, weights, graph.cell_cycle((0, 0)))
+        assert not is_critical(graph, weights, closed_walk(graph, graph.cell_arcs((0, 0))))
 
     def test_not_a_cycle(self):
         _, graph, _, weights = built("2x2")
         with pytest.raises(NotACycle):
-            is_critical(graph, weights, graph.outer_contour[:-1])
+            is_critical(graph, weights, closed_walk(graph, graph.outer)[:-1])
         with pytest.raises(NotACycle):
             is_critical(
                 graph, weights, [GridVertex(0, 0), GridVertex(5, 5), GridVertex(0, 0)]

@@ -9,9 +9,8 @@ import pytest
 
 from tiler import pipeline
 from tiler.equilibrium import (
-    EquilibriumFunction,
     build_cut_lines,
-    cycle_sum,
+    eq_values,
     make_weights,
     step_values,
     verify_equilibrium,
@@ -19,28 +18,35 @@ from tiler.equilibrium import (
 from tiler.errors import TilerError
 
 from .conftest import built
+from .stepwise import reference_eq
 from .theory import grid_arcs
 
 
-def assert_t_matches_eqfn(graph, eqfn, weights):
-    """The stored t against eq and the graph's spins sp: t = eq + sp on
-    boundary arcs and eq - sp + 2 elsewhere.  The derived lower difference
-    -t(v, u) is then t on boundary arcs and t - 4 elsewhere."""
+def assert_t_matches_eq(graph, eq, weights):
+    """The stored t against eq by arc id and the graph's spins sp: t = eq +
+    sp on boundary arcs and eq - sp + 2 elsewhere.  The derived lower
+    difference -t(v, u) is then t on boundary arcs and t - 4 elsewhere."""
     arcs = grid_arcs(graph)
     t, sp = dict(zip(arcs, weights.t)), dict(zip(arcs, graph.spin))
-    assert len(weights.t) == len(graph.spin) == len(arcs)
-    for a, boundary, eq in zip(arcs, graph.boundary, eqfn.eq):
+    assert len(weights.t) == len(graph.spin) == len(arcs) == len(eq)
+    for a, boundary, e in zip(arcs, graph.boundary, eq):
         u, v = a
-        assert t[a] == (eq + sp[a] if boundary else eq - sp[a] + 2)
+        assert t[a] == (e + sp[a] if boundary else e - sp[a] + 2)
         assert -t[(v, u)] == (t[a] if boundary else t[a] - 4)
 
 
-def perturbed(graph, eqfn, rng):
-    """A second valid equilibrium function: eq + the differences of a random
-    vertex potential."""
+def perturbed(graph, weights, rng):
+    """The weights of a second valid equilibrium function, eq plus the
+    differences of a random vertex potential: t is eq plus a fixed per-arc
+    term, so it moves with eq.  The tree is kept; it need not hold eq = 0."""
     f = {v: 4 * rng.randint(-2, 2) for v in graph.vertices}
-    eq = [e + f[v] - f[u] for (u, v), e in zip(grid_arcs(graph), eqfn.eq)]
-    return EquilibriumFunction(steps=dict(eqfn.steps), eq=eq)
+    t = [x + f[v] - f[u] for (u, v), x in zip(grid_arcs(graph), weights.t)]
+    return dataclasses.replace(weights, t=t)
+
+
+def cycle_sum(per_arc, arcs) -> int:
+    """Sum of a list by arc id along a cycle of arc ids."""
+    return sum(per_arc[k] for k in arcs)
 
 
 class TestCutLines:
@@ -54,8 +60,10 @@ class TestCutLines:
         assert cl.hole_id == 0
         assert cl.predecessor is None
         # From hole cell (1, 1) upward through figure cell (1, 2): the line
-        # crosses the two horizontal edges at y = 2 and y = 3.
-        assert cl.crossed_edges == (((1, 2), (2, 2)), ((1, 3), (2, 3)))
+        # crosses the two horizontal edges at y = 2 and y = 3, each on its
+        # eastward arc.
+        assert [graph.axis[k] for k in cl.crossed] == [((1, 2), (2, 2)), ((1, 3), (2, 3))]
+        assert [graph.vertices[graph.head[k]] for k in cl.crossed] == [(2, 2, 0), (2, 3, 0)]
 
     def test_8x8_cut_lines(self):
         _, graph, _, _ = built("8x8-two-holes")
@@ -69,14 +77,14 @@ class TestCutLines:
         from tiler import pipeline
 
         text = "#####\n##.##\n#####\n##.##\n#####"
-        _, graph, eqfn, _ = pipeline(text)
+        _, graph, _, weights = pipeline(text)
         lines = build_cut_lines(graph)
         by_hole = {cl.hole_id: cl for cl in lines}
         lower = graph.complement_component((2, 1))
         upper = graph.complement_component((2, 3))
         assert by_hole[lower].predecessor == upper
         assert by_hole[upper].predecessor is None
-        assert verify_equilibrium(graph, eqfn)
+        assert verify_equilibrium(graph, weights)
 
 
 class TestStepValues:
@@ -94,49 +102,53 @@ class TestStepValues:
 
 class TestBuildEquilibrium:
     def test_verifies_on_corpus(self, corpus_name):
-        _, graph, eqfn, _ = built(corpus_name)
-        assert verify_equilibrium(graph, eqfn)
+        _, graph, _, weights = built(corpus_name)
+        assert verify_equilibrium(graph, weights)
 
     def test_zero_function_hole_free(self):
         _, graph, _, _ = built("3x4")
-        zero = EquilibriumFunction(steps={}, eq=[0] * len(graph.head))
+        zero = make_weights(graph, [0] * len(graph.head))
         assert verify_equilibrium(graph, zero)
 
     def test_zero_function_fails_on_ring(self):
         _, graph, _, _ = built("3x3-ring")
-        zero = EquilibriumFunction(steps={}, eq=[0] * len(graph.head))
+        zero = make_weights(graph, [0] * len(graph.head))
         assert not verify_equilibrium(graph, zero)
 
     def test_skew_symmetric(self, corpus_name):
-        _, graph, eqfn, _ = built(corpus_name)
+        _, graph, _, weights = built(corpus_name)
+        eq = eq_values(graph, weights)
         for u, v in grid_arcs(graph):
-            assert eqfn.eq[graph.arc_id(u, v)] == -eqfn.eq[graph.arc_id(v, u)]
+            assert eq[graph.arc_id(u, v)] == -eq[graph.arc_id(v, u)]
 
     def test_skew_break_fails(self, corpus_name):
         # An outer contour arc has the figure on its left, so it lies on no
-        # clockwise cell cycle and no hole contour: changing it without its
-        # reverse keeps every cycle sum and breaks skew symmetry alone.
-        _, graph, eqfn, _ = built(corpus_name)
-        eq = list(eqfn.eq)
-        eq[graph.arc_id(*graph.outer_contour[:2])] += 4
+        # clockwise cell cycle and no hole contour: changing its t without
+        # its reverse's keeps every cycle sum of eq and breaks skew symmetry
+        # alone.
+        _, graph, _, weights = built(corpus_name)
+        t = list(weights.t)
+        t[graph.outer[0]] += 4
+        broken = dataclasses.replace(weights, t=t)
+        eq = eq_values(graph, broken)
         for cell in graph.figure.cells:
-            assert cycle_sum(graph, eq, graph.cell_cycle(cell)) == 0
+            assert cycle_sum(eq, graph.cell_arcs(cell)) == 0
         for hole in graph.holes:
-            c = hole.clockwise_contour
-            assert cycle_sum(graph, eq, c) == -cycle_sum(graph, graph.spin, c)
-        assert not verify_equilibrium(graph, EquilibriumFunction(eqfn.steps, eq))
+            c = hole.contour
+            assert cycle_sum(eq, c) == -cycle_sum(graph.spin, c)
+        assert not verify_equilibrium(graph, broken)
 
     def test_bound(self, corpus_name):
-        fig, graph, eqfn, _ = built(corpus_name)
+        fig, graph, _, weights = built(corpus_name)
         n = len(fig)
-        assert all(abs(e) <= 4 * n for e in eqfn.eq)
+        assert all(abs(e) <= 4 * n for e in eq_values(graph, weights))
 
     def test_support_is_on_cut_lines(self, corpus_name):
-        _, graph, eqfn, _ = built(corpus_name)
+        _, graph, _, weights = built(corpus_name)
         crossed = set()
         for cl in build_cut_lines(graph):
-            crossed.update(cl.crossed_edges)
-        for (u, v), val in zip(grid_arcs(graph), eqfn.eq):
+            crossed.update(graph.axis[k] for k in cl.crossed)
+        for (u, v), val in zip(grid_arcs(graph), eq_values(graph, weights)):
             if val:
                 key = tuple(sorted(((u.x, u.y), (v.x, v.y))))
                 assert key in crossed
@@ -145,23 +157,24 @@ class TestBuildEquilibrium:
 class TestCycleSums:
     def test_cycle_sums_figure_determined(self, corpus_name):
         # eq(C) agrees between two distinct valid equilibrium functions.
-        _, graph, eqfn, _ = built(corpus_name)
+        _, graph, _, weights = built(corpus_name)
         rng = random.Random(1)
-        eqfn2 = perturbed(graph, eqfn, rng)
-        assert verify_equilibrium(graph, eqfn2)
+        weights2 = perturbed(graph, weights, rng)
+        assert verify_equilibrium(graph, weights2)
+        eq, eq2 = eq_values(graph, weights), eq_values(graph, weights2)
         for cell in graph.figure.cells:
-            cyc = graph.cell_cycle(cell)
-            assert cycle_sum(graph, eqfn.eq, cyc) == cycle_sum(graph, eqfn2.eq, cyc)
+            cyc = graph.cell_arcs(cell)
+            assert cycle_sum(eq, cyc) == cycle_sum(eq2, cyc)
         for hole in graph.holes:
-            c = hole.clockwise_contour
-            assert cycle_sum(graph, eqfn.eq, c) == cycle_sum(graph, eqfn2.eq, c)
-        outer = graph.outer_contour
-        assert cycle_sum(graph, eqfn.eq, outer) == cycle_sum(graph, eqfn2.eq, outer)
+            c = hole.contour
+            assert cycle_sum(eq, c) == cycle_sum(eq2, c)
+        outer = graph.outer
+        assert cycle_sum(eq, outer) == cycle_sum(eq2, outer)
 
 
 class TestWeights:
     def test_spanning_tree(self, corpus_name):
-        _, graph, eqfn, weights = built(corpus_name)
+        _, graph, _, weights = built(corpus_name)
         # One arc into each vertex but w0 (id 0), in BFS order: each from w0
         # or a vertex the tree reached before.
         vs, head, rev = graph.vertices, graph.head, graph.rev
@@ -170,12 +183,13 @@ class TestWeights:
         reached = {0: -1, **{v: i for i, v in enumerate(heads)}}
         for i, k in enumerate(weights.tree):
             assert reached[head[rev[k]]] < i
-            assert eqfn.eq[k] == 0
+            assert eq_values(graph, weights)[k] == 0
 
     def test_tree_requirement_raised(self):
         # A potential-shifted equilibrium can have no eq = 0 spanning tree.
-        _, graph, eqfn, _ = built("2x2")
-        bad = [e + 4 * (u.x - v.x) for (u, v), e in zip(grid_arcs(graph), eqfn.eq)]
+        _, graph, _, weights = built("2x2")
+        eq = eq_values(graph, weights)
+        bad = [e + 4 * (u.x - v.x) for (u, v), e in zip(grid_arcs(graph), eq)]
         with pytest.raises(TilerError):
             make_weights(graph, bad)
 
@@ -187,8 +201,8 @@ class TestWeights:
         assert names == ["t", "tree"]
 
     def test_t_b_structure(self, corpus_name):
-        _, graph, eqfn, weights = built(corpus_name)
-        assert_t_matches_eqfn(graph, eqfn, weights)
+        _, graph, steps, weights = built(corpus_name)
+        assert_t_matches_eq(graph, reference_eq(graph, steps), weights)
 
 
 def test_pipeline_retained_memory():

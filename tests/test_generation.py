@@ -18,7 +18,7 @@ import tiler
 from tiler import generation
 from tiler.components import forced_components
 from tiler.cli import main
-from tiler.errors import NotTileable, TooLarge
+from tiler.errors import TooLarge, Untileable
 from tiler.flips import DOWN, UP, flip_distance
 from tiler.generation import (
     component_order,
@@ -218,7 +218,7 @@ class TestSampleUniform:
 
     def test_untileable(self):
         _, graph, _, weights = built("t-tetromino")
-        with pytest.raises(NotTileable):
+        with pytest.raises(Untileable):
             sample_uniform(graph, weights, 0)
 
     def test_rough_uniformity_2x2(self):

@@ -3,12 +3,18 @@ counts."""
 
 import pytest
 
-from tiler.equilibrium import cycle_sum
 from tiler.errors import ArcNotInFigure, Empty, NotConnected, ParseError
 from tiler.grid import Cell, GridVertex, build_graph, is_black, parse_figure
 
 from .conftest import built
-from .theory import NotACycle, NotClockwise, cycle_spin, disequilibrium, grid_arcs
+from .theory import (
+    NotACycle,
+    NotClockwise,
+    closed_walk,
+    cycle_spin,
+    disequilibrium,
+    grid_arcs,
+)
 
 
 class TestParse:
@@ -50,8 +56,9 @@ class TestBuildGraph:
         assert len(graph.head) == 24
         assert sum(graph.boundary) == 16
         assert graph.w0 == GridVertex(0, 0)
-        assert len(graph.outer_contour) == 9
-        assert graph.outer_contour[0] == graph.outer_contour[-1] == graph.w0
+        assert len(graph.outer) == 8
+        outer = closed_walk(graph, graph.outer)
+        assert outer[0] == outer[-1] == graph.w0
 
     def test_arcs_paired(self, corpus_name):
         _, graph, _, _ = built(corpus_name)
@@ -64,7 +71,7 @@ class TestBuildGraph:
         assert len(graph.holes) == 1
         hole = graph.holes[0]
         assert hole.cells == {Cell(1, 1)}
-        assert len(hole.clockwise_contour) == 5
+        assert len(hole.contour) == 4
         assert graph.complement_component(Cell(1, 1)) == 0
         assert graph.complement_component(Cell(-1, 0)) is None
 
@@ -92,13 +99,13 @@ class TestBuildGraph:
         # Shoelace area is negative for a clockwise walk.
         _, graph, _, _ = built(corpus_name)
         for hole in graph.holes:
-            c = hole.clockwise_contour
+            c = closed_walk(graph, hole.contour)
             area2 = sum(u.x * v.y - v.x * u.y for u, v in zip(c, c[1:]))
             assert area2 < 0
 
     def test_outer_contour_is_counterclockwise(self, corpus_name):
         _, graph, _, _ = built(corpus_name)
-        c = graph.outer_contour
+        c = closed_walk(graph, graph.outer)
         area2 = sum(u.x * v.y - v.x * u.y for u, v in zip(c, c[1:]))
         assert area2 > 0
 
@@ -149,55 +156,55 @@ class TestSpin:
         fig, graph, _, _ = built(corpus_name)
         for cell in fig.cells:
             expected = 4 if is_black(cell) else -4
-            assert cycle_spin(graph.cell_cycle(cell)) == expected
+            assert cycle_spin(closed_walk(graph, graph.cell_arcs(cell))) == expected
 
     def test_spin_counts_enclosed_cells(self, corpus_name):
         # sp(C) = 4 * Dis(C) on every face cycle.  Around each hole, the
         # spin `step_values` reads off `graph.spin` is the geometric one.
         fig, graph, _, _ = built(corpus_name)
         for cell in fig.cells:
-            cyc = graph.cell_cycle(cell)
+            cyc = closed_walk(graph, graph.cell_arcs(cell))
             assert cycle_spin(cyc) == 4 * disequilibrium(fig, cyc)
         for hole in graph.holes:
-            c = hole.clockwise_contour
-            assert cycle_sum(graph, graph.spin, c) == cycle_spin(c)
+            c = hole.contour
+            assert sum(graph.spin[k] for k in c) == cycle_spin(closed_walk(graph, c))
 
     def test_spin_on_outer_contour(self):
         # Hole-free figures: clockwise outer contour spin counts the color
         # imbalance of the whole figure.
         for name in ("2x2", "2x3", "3x4", "t-tetromino"):
             fig, graph, _, _ = built(name)
-            cw = list(reversed(graph.outer_contour))
+            cw = list(reversed(closed_walk(graph, graph.outer)))
             assert cycle_spin(cw) == 4 * disequilibrium(fig, cw)
 
     def test_hole_contour_spin(self):
         _, graph, _, _ = built("3x3-ring")
         # The ring's hole cell (1, 1) is black, so the clockwise hole contour
         # has spin 4 even though it encloses no figure cell.
-        assert cycle_spin(graph.holes[0].clockwise_contour) == 4
+        assert cycle_spin(closed_walk(graph, graph.holes[0].contour)) == 4
 
 
 class TestDisequilibrium:
     def test_balanced_rectangle(self):
         fig, graph, _, _ = built("2x3")
-        cw = list(reversed(graph.outer_contour))
+        cw = list(reversed(closed_walk(graph, graph.outer)))
         assert disequilibrium(fig, cw) == 0
 
     def test_t_tetromino_imbalance(self):
         fig, graph, _, _ = built("t-tetromino")
-        cw = list(reversed(graph.outer_contour))
+        cw = list(reversed(closed_walk(graph, graph.outer)))
         assert disequilibrium(fig, cw) == 2
 
     def test_hole_contour_encloses_nothing(self):
         fig, graph, _, _ = built("3x3-ring")
-        assert disequilibrium(fig, graph.holes[0].clockwise_contour) == 0
+        assert disequilibrium(fig, closed_walk(graph, graph.holes[0].contour)) == 0
 
     def test_not_closed(self):
         fig, graph, _, _ = built("2x2")
         with pytest.raises(NotACycle):
-            disequilibrium(fig, graph.outer_contour[:-1])
+            disequilibrium(fig, closed_walk(graph, graph.outer)[:-1])
 
     def test_not_clockwise(self):
         fig, graph, _, _ = built("2x2")
         with pytest.raises(NotClockwise):
-            disequilibrium(fig, graph.outer_contour)
+            disequilibrium(fig, closed_walk(graph, graph.outer))

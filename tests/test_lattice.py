@@ -24,6 +24,7 @@ from tiler.tiling import height_of_tiling, tiling_of_height
 
 from .conftest import CORPUS, COUNTS, ENUMERABLE, built
 from .stepwise import outcome, stepwise_extremal_height
+from .theory import closed_walk
 
 TRIPLE_CAP = 10_000
 
@@ -222,13 +223,13 @@ class TestUntileable:
         # Balanced, but both ends of each bar need the bar's middle cell; an
         # outer contour vertex is the first to be forced to move.
         graph, v = self._named_vertex("###\n.#.\n.#.\n###", sign)
-        assert v in graph.outer_contour
+        assert v in closed_walk(graph, graph.outer)
 
     def test_free_vertex_past_bound(self):
         # Balanced but untileable: an interior vertex of the spine is pushed
         # past its upper bound before any boundary vertex has to move.
         graph, v = self._named_vertex(".##.#\n#####\n.#..#", 1)
-        assert v not in graph.outer_contour
+        assert v not in closed_walk(graph, graph.outer)
 
     @pytest.mark.parametrize("sign", [1, -1], ids=["min", "max"])
     @pytest.mark.parametrize("text", ["###", CORPUS["l-tromino"]], ids=["1x3", "l-tromino"])
@@ -237,10 +238,9 @@ class TestUntileable:
         # contour comes back to its first vertex at another height.  The
         # message names that vertex and both heights.
         graph, v = self._named_vertex(text, sign)
-        assert v == graph.outer_contour[0]
+        assert v == graph.w0
         _, graph, _, weights = pipeline(text)
-        contour = graph.outer_contour
-        closing = sum(weights.t[graph.arc_id(*a)] for a in zip(contour, contour[1:]))
+        closing = sum(weights.t[k] for k in graph.outer)
         assert closing != 0
         extremal = minimal_height if sign > 0 else maximal_height
         with pytest.raises(Untileable, match=f"at height {closing}, not 0$"):

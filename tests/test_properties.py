@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tiler.components import _strong_components, forced_components
-from tiler.equilibrium import build_cut_lines, build_equilibrium, verify_equilibrium
+from tiler.equilibrium import build_equilibrium, eq_values, verify_equilibrium
 from tiler.errors import ParseError, TilerError, Untileable
 from tiler.flips import flip_path
 from tiler.generation import count_tilings, enumerate_tilings
@@ -31,6 +31,7 @@ from .stepwise import (
     assert_successors_match_stepwise,
     outcome,
     reference_arc_weights,
+    reference_eq,
     reference_flip_path,
     reference_forced_components,
     reference_g_of_tiling,
@@ -38,7 +39,7 @@ from .stepwise import (
     stepwise_extremal_height,
     tarjan_components,
 )
-from .test_equilibrium import assert_t_matches_eqfn
+from .test_equilibrium import assert_t_matches_eq
 from .theory import grid_arcs, left_cell, right_cell, spin_of_move
 
 
@@ -63,11 +64,11 @@ def small_figures(draw):
 @settings(max_examples=60, deadline=None)
 @given(small_figures())
 def test_equilibrium_always_valid(figure):
-    _, graph, eqfn, weights = pipeline_from_cells(figure.cells)
-    assert verify_equilibrium(graph, eqfn)
-    assert_t_matches_eqfn(graph, eqfn, weights)
+    _, graph, steps, weights = pipeline_from_cells(figure.cells)
+    assert verify_equilibrium(graph, weights)
+    assert_t_matches_eq(graph, reference_eq(graph, steps), weights)
     n = len(figure)
-    assert all(abs(e) <= 4 * n for e in eqfn.eq)
+    assert all(abs(e) <= 4 * n for e in eq_values(graph, weights))
 
 
 @settings(max_examples=60, deadline=None)
@@ -112,25 +113,54 @@ def masked_figures(draw, max_cells=49):
         assume(False)
 
 
-@settings(max_examples=100, deadline=None)
-@given(masked_figures())
-def test_eq_is_on_cut_lines_only(figure):
-    """eq by arc id against the cut lines: each crossed edge's eastward arc
-    holds its hole's step and the westward arc minus it; every other arc
-    holds 0.  The mask is framed by a ring of cells, so every empty cell of
-    its bounding box is in a hole."""
+def framed(figure):
+    """The figure's cells and a ring of cells around its bounding box, so
+    every empty cell of that box is in a hole."""
     x0, y0 = figure.min_x - 1, figure.min_y - 1
     x1, y1 = x0 + figure.width + 1, y0 + figure.height + 1
     ring = {Cell(x, y) for x in range(x0, x1 + 1) for y in (y0, y1)}
     ring |= {Cell(x, y) for x in (x0, x1) for y in range(y0, y1 + 1)}
-    _, graph, eqfn, _ = pipeline_from_cells(figure.cells | ring)
-    expected = {}
-    for cl in build_cut_lines(graph):
-        for p, q in cl.crossed_edges:
-            expected[(p, q)] = eqfn.steps[cl.hole_id]
-            expected[(q, p)] = -eqfn.steps[cl.hole_id]
-    for (u, v), e in zip(grid_arcs(graph), eqfn.eq):
-        assert e == expected.get(((u.x, u.y), (v.x, v.y)), 0)
+    return figure.cells | ring
+
+
+@settings(max_examples=100, deadline=None)
+@given(masked_figures())
+def test_eq_is_on_cut_lines_only(figure):
+    """The eq that t carries against the cut lines: each crossed edge's
+    eastward arc holds its hole's step and the westward arc minus it; every
+    other arc holds 0.  The mask is framed, so it has many holes."""
+    _, graph, steps, weights = pipeline_from_cells(framed(figure))
+    assert eq_values(graph, weights) == reference_eq(graph, steps)
+
+
+@settings(max_examples=100, deadline=None)
+@given(masked_figures())
+def test_contours_are_closed_arc_chains(figure):
+    """On framed masks: each contour is a closed chain of distinct arcs, the
+    head of each the tail of the next, from the arc leaving its least tail;
+    the outer contour leaves w0 (id 0).  The cell on the right of a hole's
+    contour is in that hole, of the outer contour outside every hole, and
+    every boundary arc with the figure on its left lies on exactly one
+    contour."""
+    graph = build_graph(make_figure(framed(figure)))
+    cells, vs, head, rev = graph.figure.cells, graph.vertices, graph.head, graph.rev
+    contours = [(None, graph.outer)] + [(h.id, h.contour) for h in graph.holes]
+    for hole_id, contour in contours:
+        tails = [head[rev[k]] for k in contour]
+        assert [head[k] for k in contour] == tails[1:] + tails[:1]
+        assert len(set(tails)) == len(tails) and tails[0] == min(tails)
+        for k in contour:
+            u, v = vs[head[rev[k]]], vs[head[k]]
+            right = right_cell((u.x, u.y), (v.x - u.x, v.y - u.y))
+            assert graph.complement_component(right) == hole_id
+    assert head[rev[graph.outer[0]]] == 0
+    on_contours = Counter(k for _, contour in contours for k in contour)
+    left_boundary = [
+        k
+        for k, (u, v) in enumerate(grid_arcs(graph))
+        if graph.boundary[k] and left_cell((u.x, u.y), (v.x - u.x, v.y - u.y)) in cells
+    ]
+    assert on_contours == Counter(left_boundary)
 
 
 @st.composite
@@ -202,9 +232,7 @@ def test_figure_graph_from_cells(figure):
     assert len(graph.holes) == len(arcs) // 2 - len(graph.vertices) - len(cells) + 1
 
     held = {v: v for v in graph.vertices}
-    seen = list(graph.index)
-    seen += graph.outer_contour + [v for h in graph.holes for v in h.clockwise_contour]
-    assert all(held[v] is v for v in seen)
+    assert all(held[v] is v for v in graph.index)
 
     assert_arc_arrays_match_cells(graph)
 
@@ -233,8 +261,8 @@ def assert_arc_arrays_match_cells(graph):
         figure_sides = sum(c in cells for c in (left_cell(point, d), right_cell(point, d)))
         assert figure_sides in (1, 2) and graph.boundary[k] == (figure_sides == 1)
         assert graph.axis[k] == arc_axis_key((p, q)) and graph.axis[k] is graph.axis[rev[k]]
-    eqfn, weights = build_equilibrium(graph)
-    reference = reference_arc_weights(graph, eqfn)
+    steps, weights = build_equilibrium(graph)
+    reference = reference_arc_weights(graph, reference_eq(graph, steps))
     assert [reference[a][3] for a in grid_arcs(graph)] == list(weights.t)
 
 
@@ -305,10 +333,10 @@ def g_by_arc(graph, weights, tiling):
     return dict(zip(arcs, g))
 
 
-def _decoded(graph, decode, weights_or_eqfn, h):
+def _decoded(graph, decode, weights_or_eq, h):
     """The tiling a decode returns for the heights h, or its error type."""
     try:
-        return decode(graph, weights_or_eqfn, HeightFunction(graph, h))
+        return decode(graph, weights_or_eq, HeightFunction(graph, h))
     except TilerError as exc:
         return type(exc)
 
@@ -317,26 +345,27 @@ def _decoded(graph, decode, weights_or_eqfn, h):
 @given(tileable_masks(), st.data())
 def test_encode_decode_match_reference(figure, data):
     """g_of_tiling and tiling_of_height, which read only t and sp, against
-    the eq_r, b and t formulas recomputed from the equilibrium function: on
-    every tiling, on random axis sets that need not be tilings (boundary
-    sides included), and on heights with one vertex moved by 4."""
-    _, graph, eqfn, weights = pipeline_from_cells(figure.cells)
+    the eq_r, b and t formulas recomputed from the cut lines' eq: on every
+    tiling, on random axis sets that need not be tilings (boundary sides
+    included), and on heights with one vertex moved by 4."""
+    _, graph, steps, weights = pipeline_from_cells(figure.cells)
+    eq = reference_eq(graph, steps)
     tilings = list(enumerate_tilings(graph, weights))
     for tiling in tilings:
-        assert g_by_arc(graph, weights, tiling) == reference_g_of_tiling(graph, eqfn, tiling)
+        assert g_by_arc(graph, weights, tiling) == reference_g_of_tiling(graph, eq, tiling)
         h = height_of_tiling(graph, weights, tiling).h
-        assert reference_tiling_of_height(graph, eqfn, HeightFunction(graph, h)) == tiling
+        assert reference_tiling_of_height(graph, eq, HeightFunction(graph, h)) == tiling
     sides = sorted({arc_axis_key(a) for a in grid_arcs(graph)})
     for _ in range(5):
         drawn = data.draw(st.lists(st.sampled_from(sides), max_size=8))
         axes = Tiling(axes=tuple(sorted(set(drawn))))
-        assert g_by_arc(graph, weights, axes) == reference_g_of_tiling(graph, eqfn, axes)
+        assert g_by_arc(graph, weights, axes) == reference_g_of_tiling(graph, eq, axes)
     h = height_of_tiling(graph, weights, data.draw(st.sampled_from(tilings))).h
     moved = dict(h)
     moved[data.draw(st.sampled_from(sorted(h)))] += data.draw(st.sampled_from([4, -4]))
     for heights in (h, moved):
         assert _decoded(graph, tiling_of_height, weights, heights) == _decoded(
-            graph, reference_tiling_of_height, eqfn, heights
+            graph, reference_tiling_of_height, eq, heights
         )
 
 
@@ -421,5 +450,5 @@ def pipeline_from_cells(cells):
     """Rebuild the standard pipeline from a cell set (bypassing text)."""
     figure = make_figure(cells)
     graph = build_graph(figure)
-    eqfn, weights = build_equilibrium(graph)
-    return figure, graph, eqfn, weights
+    steps, weights = build_equilibrium(graph)
+    return figure, graph, steps, weights

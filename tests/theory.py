@@ -3,7 +3,9 @@ propositions built on them: the tiling graph G_T, critical and strongly
 critical cycles, the acyclic orientation of the quotient graph, spin and
 disequilibrium from the cell colours, and the generalized flip graph with
 its BFS distances.  They work on the arcs (u, v) of GridVertex that
-`grid_arcs` lists; `tests/stepwise.py` builds its references on them.
+`grid_arcs` lists, and on cycles as closed GridVertex walks, which
+`closed_walk` makes of the graph's arc-id cycles; `tests/stepwise.py`
+builds its references on them.
 """
 
 import itertools
@@ -36,6 +38,13 @@ def grid_arcs(graph):
     and heads."""
     vs, off, head = graph.vertices, graph.offsets, graph.head
     return [(vs[u], vs[head[k]]) for u in range(len(vs)) for k in range(off[u], off[u + 1])]
+
+
+def closed_walk(graph, arcs) -> list:
+    """The closed GridVertex walk of an arc-id cycle, such as a contour or
+    `cell_arcs`: the tail of its first arc, then the head of every arc."""
+    vs, head, rev = graph.vertices, graph.head, graph.rev
+    return [vs[head[rev[arcs[0]]]]] + [vs[head[k]] for k in arcs]
 
 
 def arc_t(graph, weights):
