@@ -117,17 +117,19 @@ def _cmd_sample(args, figure, graph, steps, weights):
 
 
 def _cmd_dist(args, figure, graph, steps, weights):
-    heights = []
+    tilings, heights = [], []
     for path in (args.t1, args.t2):
         try:
             data = json.loads(_read(path))
         except json.JSONDecodeError as exc:
             raise ParseError(f"{path} is not JSON: {exc}") from exc
         dominoes = dominoes_from_json(data)
-        tiling = validate_tiling(graph, dominoes)
-        heights.append(height_of_tiling(graph, weights, tiling))
+        tilings.append(validate_tiling(graph, dominoes))
+        heights.append(height_of_tiling(graph, weights, tilings[-1]))
     h1, h2 = heights
-    cg = forced_components(graph, weights, min_tiling(graph, weights))
+    # The components, their numbering and the quotient are the same for
+    # every tiling of the figure, so T1's serves.
+    cg = forced_components(graph, weights, tilings[0])
     dist = flip_distance(h1, h2, cg)
     local = local_flip_connected(graph, h1, h2)
     result = {"format": JSON_FORMAT, "distance": dist, "local_flip_connected": local}

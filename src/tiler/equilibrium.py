@@ -11,10 +11,11 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from itertools import compress, count
 from typing import Optional
 
 from .errors import TilerError
-from .grid import Cell, E, FigureGraph, W
+from .grid import FigureGraph
 
 
 @dataclass(frozen=True)
@@ -45,25 +46,32 @@ class ArcWeights:
 
 
 def build_cut_lines(graph: FigureGraph):
-    """One cut line per hole, issued upward from its leftmost highest cell."""
-    cells = graph.figure.cells
+    """One cut line per hole, issued upward from its leftmost highest cell.
+
+    The line starts at the hole's contour arc on that cell's top side and
+    climbs the column in CSR order: a tail's E arc is its last arc and its
+    N arc the one before, so the next crossed arc is the E arc of the N
+    arc's head.  It stops at the first boundary arc past the hole, whose
+    reverse lies on the contour of the component above."""
+    off, head, rev, axis, boundary = (
+        graph.offsets, graph.head, graph.rev, graph.axis, graph.boundary
+    )
+    hole_of = {k: hole.id for hole in graph.holes for k in hole.contour}
     lines = []
     for hole in graph.holes:
         top = max(c.y for c in hole.cells)
         cx = min(c.x for c in hole.cells if c.y == top)
-        k = 1
-        while Cell(cx, top + k) in cells:
-            k += 1
-        crossed = tuple(
-            graph.arc_id(graph.vertex((cx, y), E), graph.vertex((cx + 1, y), W))
-            for y in range(top + 1, top + k + 1)
-        )
+        side = ((cx, top + 1), (cx + 1, top + 1))
+        k = next(k for k in hole.contour if axis[k] == side)
+        crossed = [k]
+        for y in count(top + 2):
+            k = off[head[k - 1] + 1] - 1
+            assert axis[k] == ((cx, y), (cx + 1, y)), "cut line left its column"
+            crossed.append(k)
+            if boundary[k]:
+                break
         lines.append(
-            CutLine(
-                hole_id=hole.id,
-                predecessor=graph.complement_component(Cell(cx, top + k)),
-                crossed=crossed,
-            )
+            CutLine(hole_id=hole.id, predecessor=hole_of.get(rev[k]), crossed=tuple(crossed))
         )
     return lines
 
@@ -143,10 +151,19 @@ def eq_values(graph: FigureGraph, weights: ArcWeights) -> list:
 def verify_equilibrium(graph: FigureGraph, weights: ArcWeights) -> bool:
     """Exhaustive check of the defining conditions on the eq that t
     carries: skew symmetry, and the sums around every cell and every hole
-    contour."""
+    contour.  A cell's clockwise sum is the sum over the arcs with the cell
+    on their right, so each nonzero eq is added into the cell right of its
+    arc; a cell beside no nonzero arc sums to 0."""
     eq, spin = eq_values(graph, weights), graph.spin
     if any(eq[r] != -val for val, r in zip(eq, graph.rev)):
         return False
-    if any(sum(eq[k] for k in graph.cell_arcs(cell)) for cell in graph.figure.cells):
+    vs, head, rev = graph.vertices, graph.head, graph.rev
+    sums = {}
+    for k in compress(range(len(eq)), eq):
+        (ux, uy, _), (vx, vy, _) = vs[head[rev[k]]], vs[head[k]]
+        cell = ((ux + vx + vy - uy - 1) // 2, (uy + vy + ux - vx - 1) // 2)
+        sums[cell] = sums.get(cell, 0) + eq[k]
+    cells = graph.figure.cells
+    if any(s and c in cells for c, s in sums.items()):
         return False
     return not any(sum(eq[k] + spin[k] for k in hole.contour) for hole in graph.holes)

@@ -17,10 +17,6 @@ class NotConnected(ParseError):
     """Cells do not form a single 4-connected component."""
 
 
-class ArcNotInFigure(TilerError):
-    """Arc is not an arc of the figure graph."""
-
-
 class Overlap(TilerError):
     """Two dominoes cover the same cell."""
 

@@ -15,13 +15,11 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
-from .errors import ArcNotInFigure, Empty, NotConnected, ParseError
+from .errors import Empty, NotConnected, ParseError
 
 MAX_EXTENT = 4096
-
-N, S, E, W = (0, 1), (0, -1), (1, 0), (-1, 0)
 
 
 class Cell(NamedTuple):
@@ -131,21 +129,20 @@ class FigureGraph:
     dense integer ids.
 
     Vertex ids are 0..V-1 in sorted GridVertex order, so id order is vertex
-    order; `vertices` maps an id to its GridVertex and `index` back.  Arc ids
-    are in CSR order: the arcs leaving vertex u are offsets[u] <= k <
-    offsets[u + 1], by increasing head.  Each per-arc fact is stored once, in
-    one array indexed by arc id: the head, the spin (+1 with a white cell on
-    the left), the boundary flag (no figure cell across the side), the id of
-    the reverse arc, and the side as a sorted pair of lattice points (one
-    tuple per side, shared by its two arcs).  The tail of arc k is
-    head[rev[k]].  The contours, `outer` and each hole's `contour`, are
-    closed walks of arc ids, the figure on their left: each arc's head is
-    the next one's tail.
+    order; `vertices` maps an id to its GridVertex.  Arc ids are in CSR
+    order: the arcs leaving vertex u are offsets[u] <= k < offsets[u + 1], by
+    increasing head, so a tail's moves come in the order W, S, N, E.  Each
+    per-arc fact is stored once, in one array indexed by arc id: the head,
+    the spin (+1 with a white cell on the left), the boundary flag (no
+    figure cell across the side), the id of the reverse arc, and the side as
+    a sorted pair of lattice points (one tuple per side, shared by its two
+    arcs).  The tail of arc k is head[rev[k]].  The contours, `outer` and
+    each hole's `contour`, are closed walks of arc ids, the figure on their
+    left: each arc's head is the next one's tail.
     """
 
     figure: Figure
     vertices: tuple  # id -> GridVertex; id 0 is w0
-    index: dict  # GridVertex -> id
     offsets: list  # tail id -> id of its first arc; offsets[V] is the arc count
     head: list
     spin: list
@@ -154,8 +151,6 @@ class FigureGraph:
     axis: list
     holes: list
     outer: tuple  # arc ids counterclockwise around the figure, from w0
-    _dup: dict = field(repr=False)  # pinch point -> "NE/SW" or "NW/SE"
-    _comp_of_cell: dict = field(repr=False)
     # Interned central axes, filled by `tiling.validate_tiling`, so every
     # Tiling of the figure shares one tuple per cell side.
     sides: dict = field(default_factory=dict, compare=False, repr=False)
@@ -166,40 +161,10 @@ class FigureGraph:
         contour: no cell lies left of the figure's leftmost column."""
         return self.vertices[0]
 
-    def arc_id(self, u, v) -> int:
-        """Id of the arc u -> v between two GridVertex."""
-        i, j = self.index.get(u), self.index.get(v)
-        if i is not None:
-            for k in range(self.offsets[i], self.offsets[i + 1]):
-                if self.head[k] == j:
-                    return k
-        raise ArcNotInFigure(f"{(u, v)} is not an arc of the figure")
 
-    def vertex(self, p, d) -> GridVertex:
-        """Vertex copy at lattice point p attached to the edge leaving in
-        direction d."""
-        pattern = self._dup.get((p[0], p[1]))
-        copy = _OWNER[pattern][_MOVES.index(d)] if pattern else 0
-        return GridVertex(p[0], p[1], copy)
-
-    def complement_component(self, cell) -> Optional[int]:
-        """Hole id containing the cell, or None for the infinite component."""
-        return self._comp_of_cell.get(Cell(cell[0], cell[1]))
-
-    def cell_arcs(self, cell) -> list:
-        """The four arc ids clockwise around one cell of the figure, from
-        its upper left corner."""
-        x, y = cell
-        corners = [((x, y + 1), E), ((x + 1, y + 1), S), ((x + 1, y), W), ((x, y), N)]
-        cyc = [self.vertex(p, d) for p, d in corners]
-        return [self.arc_id(u, v) for u, v in zip(cyc, cyc[1:] + cyc[:1])]
-
-# The moves from a lattice point in the order of their heads' ids, and per
-# pinch pattern the copy of the pinch point that owns each move: copy 0
-# takes N and E at a "NE/SW" pinch, N and W at a "NW/SE" one.
-_MOVES = (W, S, N, E)
+# Per pinch pattern, the copy of the pinch point that owns each move W, S,
+# N, E: copy 0 takes N and E at a "NE/SW" pinch, N and W at a "NW/SE" one.
 _OWNER = {"NE/SW": (1, 1, 0, 0), "NW/SE": (0, 1, 0, 1)}
-
 
 # Spins of the moves W, S, N, E from a lattice point with x + y even, odd:
 # the cell on the left of W and E has the point's colour, of S and N the
@@ -254,7 +219,6 @@ def build_graph(figure: Figure) -> FigureGraph:
     first = [-1] * len(inside)  # point key -> id of its copy 0
     pinch = {}  # pinch point key -> "NE/SW" or "NW/SE"
     vertices, keys, points = [], [], []  # per id: GridVertex, point key, (x, y)
-    index = {}
     for p in range(rows + 1, len(inside)):
         ne, nw, sw, se = inside[p], inside[p - rows], inside[p - rows - 1], inside[p - 1]
         if not (ne or nw or sw or se):
@@ -267,9 +231,7 @@ def build_graph(figure: Figure) -> FigureGraph:
             copies = 2
         for copy in range(copies):
             i = len(vertices)  # one int object per id, shared by every array
-            v = GridVertex(point[0], point[1], copy)
-            index[v] = i
-            vertices.append(v)
+            vertices.append(GridVertex(point[0], point[1], copy))
             keys.append(p)
             points.append(point)
             if not copy:
@@ -339,18 +301,14 @@ def build_graph(figure: Figure) -> FigureGraph:
     outer = contours[None]
     assert head[rev[outer[0]]] == 0, "least vertex off the outer contour"
     holes = []
-    comp_of_cell = {}
     for hid, hkeys in enumerate(hole_keys):
-        hcells = [cell(k) for k in hkeys]
-        comp_of_cell.update(dict.fromkeys(hcells, hid))
         # Walking with the figure on the left keeps the hole on the right,
         # i.e. its contour is already clockwise around the hole.
-        holes.append(Hole(id=hid, cells=frozenset(hcells), contour=contours[hid]))
+        holes.append(Hole(id=hid, cells=frozenset(map(cell, hkeys)), contour=contours[hid]))
 
     return FigureGraph(
         figure=figure,
         vertices=tuple(vertices),
-        index=index,
         offsets=offsets,
         head=head,
         spin=spin,
@@ -359,6 +317,4 @@ def build_graph(figure: Figure) -> FigureGraph:
         axis=axis,
         holes=holes,
         outer=outer,
-        _dup={tuple(cell(p)): pattern for p, pattern in pinch.items()},
-        _comp_of_cell=comp_of_cell,
     )

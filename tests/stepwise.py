@@ -429,6 +429,7 @@ def assert_components_match_reference(graph, weights):
     except Untileable:
         return
     vs = graph.vertices
+    vid = {v: i for i, v in enumerate(vs)}
     for tiling in tilings:
         cg = forced_components(graph, weights, tiling)
         ref = reference_forced_components(graph, weights, tiling)
@@ -445,7 +446,7 @@ def assert_components_match_reference(graph, weights):
         assert len(cg.quotient) == len(ref.neighbors)
         for pairs, triples in zip(cg.quotient, ref.neighbors):
             expected = [
-                (ref.comp_of[v], t - offset[graph.index[v]] + offset[graph.index[u]])
+                (ref.comp_of[v], t - offset[vid[v]] + offset[vid[u]])
                 for u, v, t in triples
             ]
             assert sorted(pairs) == sorted(expected)

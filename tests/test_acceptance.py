@@ -25,7 +25,7 @@ from tiler.oracle import brute_enumerate
 from tiler.tiling import height_of_tiling, tiling_of_height
 
 from .conftest import COUNTS, CORPUS, ENUMERABLE, built
-from .theory import bfs_distance, closed_walk, generalized_flip_adjacency, grid_arcs
+from .theory import bfs_distance, cell_arcs, closed_walk, generalized_flip_adjacency, grid_arcs
 
 # Chi-square critical value at significance 0.001 with 4 degrees of freedom.
 CHI2_CRIT_4DOF = 18.47
@@ -87,7 +87,7 @@ def test_03_height_invariants():
         graph, weights, heights = heights_of(name)
         for h in heights:
             for cell in graph.figure.cells:
-                cyc = closed_walk(graph, graph.cell_arcs(cell))
+                cyc = closed_walk(graph, cell_arcs(graph, cell))
                 ok = ok and sum(
                     h.h[v] - h.h[u] for u, v in zip(cyc, cyc[1:])
                 ) == 0
@@ -138,9 +138,9 @@ def test_06_forced_component_rigidity():
             continue
         graph, weights, heights = heights_of(name)
         cg = forced_components(graph, weights, min_tiling(graph, weights))
-        for v in graph.vertices:
+        for i, v in enumerate(graph.vertices):
             rigid = len({h.h[v] for h in heights}) == 1
-            ok = ok and rigid == (cg.comp_of[graph.index[v]] == cg.infinity)
+            ok = ok and rigid == (cg.comp_of[i] == cg.infinity)
     # Non-enumerable member: rigidity via the min/max characterization.
     _, graph, _, weights = built("8x8-two-holes")
     hmin, _ = minimal_height(graph, weights)

@@ -275,7 +275,7 @@ class TestCriticalCycles:
 
     def test_cell_cycle_not_critical(self):
         _, graph, _, weights = built("2x2")
-        assert not is_critical(graph, weights, closed_walk(graph, graph.cell_arcs((0, 0))))
+        assert not is_critical(graph, weights, closed_walk(graph, theory.cell_arcs(graph, (0, 0))))
 
     def test_not_a_cycle(self):
         _, graph, _, weights = built("2x2")

@@ -19,7 +19,7 @@ from tiler.errors import TilerError
 
 from .conftest import built
 from .stepwise import reference_eq
-from .theory import grid_arcs
+from .theory import arc_id, cell_arcs, grid_arcs, hole_of, left_cell, right_cell
 
 
 def assert_t_matches_eq(graph, eq, weights):
@@ -80,8 +80,8 @@ class TestCutLines:
         _, graph, _, weights = pipeline(text)
         lines = build_cut_lines(graph)
         by_hole = {cl.hole_id: cl for cl in lines}
-        lower = graph.complement_component((2, 1))
-        upper = graph.complement_component((2, 3))
+        lower = hole_of(graph, (2, 1))
+        upper = hole_of(graph, (2, 3))
         assert by_hole[lower].predecessor == upper
         assert by_hole[upper].predecessor is None
         assert verify_equilibrium(graph, weights)
@@ -119,7 +119,7 @@ class TestBuildEquilibrium:
         _, graph, _, weights = built(corpus_name)
         eq = eq_values(graph, weights)
         for u, v in grid_arcs(graph):
-            assert eq[graph.arc_id(u, v)] == -eq[graph.arc_id(v, u)]
+            assert eq[arc_id(graph, u, v)] == -eq[arc_id(graph, v, u)]
 
     def test_skew_break_fails(self, corpus_name):
         # An outer contour arc has the figure on its left, so it lies on no
@@ -132,11 +132,44 @@ class TestBuildEquilibrium:
         broken = dataclasses.replace(weights, t=t)
         eq = eq_values(graph, broken)
         for cell in graph.figure.cells:
-            assert cycle_sum(eq, graph.cell_arcs(cell)) == 0
+            assert cycle_sum(eq, cell_arcs(graph, cell)) == 0
         for hole in graph.holes:
             c = hole.contour
             assert cycle_sum(eq, c) == -cycle_sum(graph.spin, c)
         assert not verify_equilibrium(graph, broken)
+
+    def test_cell_sum_break_fails(self, corpus_name):
+        # Adding d to t on one arc and taking it from t on its reverse moves
+        # eq the same way, so skew symmetry holds.  An interior arc is on no
+        # contour, and the last arc of a cut line to the outside has only
+        # its reverse on the outer contour, so every hole sum holds too.
+        # What breaks are the sums of the figure cells beside the side:
+        # +d on the arc's right, -d on its left.
+        _, graph, _, weights = built(corpus_name)
+        vs, head, rev, cells = graph.vertices, graph.head, graph.rev, graph.figure.cells
+        lines = build_cut_lines(graph)
+        crossed = {k for cl in lines for k in cl.crossed}
+        interior = [k for k, b in enumerate(graph.boundary) if not b]
+        off_lines = [k for k in interior if k not in crossed and rev[k] not in crossed]
+        on_lines = [k for k in interior if k in crossed]
+        on_lines += [cl.crossed[-1] for cl in lines if cl.predecessor is None]
+        arcs = [off_lines[0]] + on_lines[:1]
+        assert len(arcs) == (2 if graph.holes else 1)
+        for k in arcs:
+            t = list(weights.t)
+            t[k] += 4
+            t[rev[k]] -= 4
+            broken = dataclasses.replace(weights, t=t)
+            eq = eq_values(graph, broken)
+            assert all(eq[r] == -e for e, r in zip(eq, rev))
+            for hole in graph.holes:
+                c = hole.contour
+                assert cycle_sum(eq, c) == -cycle_sum(graph.spin, c)
+            u, v = vs[head[rev[k]]], vs[head[k]]
+            move = ((u.x, u.y), (v.x - u.x, v.y - u.y))
+            beside = {right_cell(*move), left_cell(*move)} & cells
+            assert {c for c in cells if cycle_sum(eq, cell_arcs(graph, c))} == beside != set()
+            assert not verify_equilibrium(graph, broken)
 
     def test_bound(self, corpus_name):
         fig, graph, _, weights = built(corpus_name)
@@ -163,7 +196,7 @@ class TestCycleSums:
         assert verify_equilibrium(graph, weights2)
         eq, eq2 = eq_values(graph, weights), eq_values(graph, weights2)
         for cell in graph.figure.cells:
-            cyc = graph.cell_arcs(cell)
+            cyc = cell_arcs(graph, cell)
             assert cycle_sum(eq, cyc) == cycle_sum(eq2, cyc)
         for hole in graph.holes:
             c = hole.contour

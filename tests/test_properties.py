@@ -8,7 +8,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tiler.components import _strong_components, forced_components
-from tiler.equilibrium import build_equilibrium, eq_values, verify_equilibrium
+from tiler.equilibrium import (
+    build_cut_lines,
+    build_equilibrium,
+    eq_values,
+    verify_equilibrium,
+)
 from tiler.errors import ParseError, TilerError, Untileable
 from tiler.flips import flip_path
 from tiler.generation import count_tilings, enumerate_tilings
@@ -40,7 +45,7 @@ from .stepwise import (
     tarjan_components,
 )
 from .test_equilibrium import assert_t_matches_eq
-from .theory import grid_arcs, left_cell, right_cell, spin_of_move
+from .theory import grid_arcs, hole_of, left_cell, right_cell, spin_of_move
 
 
 @st.composite
@@ -135,6 +140,30 @@ def test_eq_is_on_cut_lines_only(figure):
 
 @settings(max_examples=100, deadline=None)
 @given(masked_figures())
+def test_cut_lines_climb_their_column(figure):
+    """On framed masks, each hole's cut line against the geometry alone:
+    from the hole's leftmost highest cell (cx, top), it crosses the sides
+    ((cx, y), (cx + 1, y)) on their eastward arcs, for y from top + 1 up to
+    the first non-figure cell (cx, y) above, and its predecessor is the hole
+    whose cells hold that cell, or None."""
+    graph = build_graph(make_figure(framed(figure)))
+    cells, vs, head, rev = graph.figure.cells, graph.vertices, graph.head, graph.rev
+    lines = build_cut_lines(graph)
+    assert [cl.hole_id for cl in lines] == [hole.id for hole in graph.holes]
+    for hole, cl in zip(graph.holes, lines):
+        top = max(c.y for c in hole.cells)
+        cx = min(c.x for c in hole.cells if c.y == top)
+        end = top + 1
+        while Cell(cx, end) in cells:
+            end += 1
+        sides = [((cx, y), (cx + 1, y)) for y in range(top + 1, end + 1)]
+        assert [graph.axis[k] for k in cl.crossed] == sides
+        assert all(vs[head[k]].x == vs[head[rev[k]]].x + 1 for k in cl.crossed)
+        assert cl.predecessor == hole_of(graph, Cell(cx, end))
+
+
+@settings(max_examples=100, deadline=None)
+@given(masked_figures())
 def test_contours_are_closed_arc_chains(figure):
     """On framed masks: each contour is a closed chain of distinct arcs, the
     head of each the tail of the next, from the arc leaving its least tail;
@@ -152,7 +181,7 @@ def test_contours_are_closed_arc_chains(figure):
         for k in contour:
             u, v = vs[head[rev[k]]], vs[head[k]]
             right = right_cell((u.x, u.y), (v.x - u.x, v.y - u.y))
-            assert graph.complement_component(right) == hole_id
+            assert hole_of(graph, right) == hole_id
     assert head[rev[graph.outer[0]]] == 0
     on_contours = Counter(k for _, contour in contours for k in contour)
     left_boundary = [
@@ -199,7 +228,7 @@ def cell_sides(cell):
 @given(masked_figures())
 def test_figure_graph_from_cells(figure):
     """The figure graph against the cells alone: its edges, arc spins,
-    boundary, pinch copies, Euler's formula and one object per vertex."""
+    boundary, pinch copies and Euler's formula."""
     graph = build_graph(figure)
     cells = figure.cells
 
@@ -231,9 +260,6 @@ def test_figure_graph_from_cells(figure):
 
     assert len(graph.holes) == len(arcs) // 2 - len(graph.vertices) - len(cells) + 1
 
-    held = {v: v for v in graph.vertices}
-    assert all(held[v] is v for v in graph.index)
-
     assert_arc_arrays_match_cells(graph)
 
 
@@ -245,7 +271,7 @@ def assert_arc_arrays_match_cells(graph):
     per side, and t equal to `reference_arc_weights`."""
     cells = graph.figure.cells
     vs, off, head, rev = graph.vertices, graph.offsets, graph.head, graph.rev
-    assert list(vs) == sorted(vs) and graph.index == {v: i for i, v in enumerate(vs)}
+    assert list(vs) == sorted(vs)
     tails = [u for u in range(len(vs)) for _ in range(off[u], off[u + 1])]
     assert len(tails) == len(head) == len(graph.spin) == len(graph.boundary) == len(rev)
     for u in range(len(vs)):

@@ -5,7 +5,8 @@ disequilibrium from the cell colours, and the generalized flip graph with
 its BFS distances.  They work on the arcs (u, v) of GridVertex that
 `grid_arcs` lists, and on cycles as closed GridVertex walks, which
 `closed_walk` makes of the graph's arc-id cycles; `tests/stepwise.py`
-builds its references on them.
+builds its references on them.  `arc_id`, `cell_arcs` and `hole_of` find
+arcs and holes by their geometry, which the package itself never needs.
 """
 
 import itertools
@@ -15,9 +16,10 @@ from graphlib import CycleError, TopologicalSorter
 from tiler.components import component_heights
 from tiler.errors import TilerError
 from tiler.flips import apply_flip, available_flips
-from tiler.grid import E, N, S, W, Cell, is_black
+from tiler.grid import Cell, is_black
 from tiler.tiling import g_of_tiling
 
+N, S, E, W = (0, 1), (0, -1), (1, 0), (-1, 0)
 DIRECTIONS = (N, S, E, W)
 
 
@@ -38,6 +40,33 @@ def grid_arcs(graph):
     and heads."""
     vs, off, head = graph.vertices, graph.offsets, graph.head
     return [(vs[u], vs[head[k]]) for u in range(len(vs)) for k in range(off[u], off[u + 1])]
+
+
+def arc_id(graph, u, v) -> int:
+    """Id of the arc u -> v between two GridVertex, through a dict of the
+    arcs that `grid_arcs` reads off `graph.vertices`; KeyError if the
+    figure has no such arc."""
+    return {a: k for k, a in enumerate(grid_arcs(graph))}[u, v]
+
+
+def cell_arcs(graph, cell) -> list:
+    """The four arc ids clockwise around one cell of the figure, from its
+    upper left corner: the arcs with the cell on their right, ordered by
+    their tails' corners."""
+    x, y = cell
+    corner = {(x, y + 1): 0, (x + 1, y + 1): 1, (x + 1, y): 2, (x, y): 3}
+    arcs = [None] * 4
+    for k, (u, v) in enumerate(grid_arcs(graph)):
+        if right_cell((u.x, u.y), (v.x - u.x, v.y - u.y)) == cell:
+            arcs[corner[u.x, u.y]] = k
+    assert None not in arcs, f"{cell} is not a cell of the figure"
+    return arcs
+
+
+def hole_of(graph, cell):
+    """Id of the hole whose cells hold the cell, or None (the infinite
+    component, or a figure cell)."""
+    return next((hole.id for hole in graph.holes if cell in hole.cells), None)
 
 
 def closed_walk(graph, arcs) -> list:
