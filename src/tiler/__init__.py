@@ -29,7 +29,6 @@ from .grid import (
     GridVertex,
     Hole,
     build_graph,
-    is_black,
     parse_figure,
 )
 from .lattice import (

@@ -74,10 +74,11 @@ class ComponentGraph:
     """Forced components on vertex ids, their kinds and the quotient graph.
 
     Components are numbered by their least vertex, the representative, so
-    w0's is 0.  A tiling is fixed by H, the list of the representatives'
-    heights: vertex v has height H[comp_of[v]] + offset[v], the same offset
-    for every tiling.  quotient[i] holds a pair (j, c) per quotient edge at
-    i: the edge points out of i iff H[j] - H[i] == c, else H[j] - H[i] == c - 4.
+    w0's, the infinite component, is 0.  A tiling is fixed by H, the list
+    of the representatives' heights: vertex v has height H[comp_of[v]] +
+    offset[v], the same offset for every tiling.  quotient[i] holds a pair
+    (j, c) per quotient edge at i: the edge points out of i iff
+    H[j] - H[i] == c, else H[j] - H[i] == c - 4.
     """
 
     components: tuple  # per component, its vertex ids in increasing order
@@ -85,7 +86,6 @@ class ComponentGraph:
     offset: list  # vertex id -> its height minus its representative's
     kinds: tuple
     representatives: tuple  # vertex ids
-    infinity: int
     quotient: tuple
 
 
@@ -104,9 +104,8 @@ def forced_components(graph: FigureGraph, weights: ArcWeights, tiling: Tiling) -
             comp[v] = i
             offset[v] -= base
     hole_vertices = {head[k] for h in graph.holes for k in h.contour}
-    infinity = comp[0]  # w0's
     kinds = [SINGLE if hole_vertices.isdisjoint(c) else HOLE for c in comps]
-    kinds[infinity] = INFINITY
+    kinds[0] = INFINITY  # w0's
     single = (c for c, k in zip(comps, kinds) if k == SINGLE)
     assert all(len(c) == 1 for c in single), "unexpected multi-vertex non-hole component"
     # Per component, the first arc met to each other component.  Every arc
@@ -130,7 +129,6 @@ def forced_components(graph: FigureGraph, weights: ArcWeights, tiling: Tiling) -
         offset=offset,
         kinds=tuple(kinds),
         representatives=tuple(c[0] for c in comps),
-        infinity=infinity,
         quotient=tuple(quotient),
     )
 

@@ -48,23 +48,26 @@ class ArcWeights:
 def build_cut_lines(graph: FigureGraph):
     """One cut line per hole, issued upward from its leftmost highest cell.
 
-    The line starts at the hole's contour arc on that cell's top side and
-    climbs the column in CSR order: a tail's E arc is its last arc and its
-    N arc the one before, so the next crossed arc is the E arc of the N
-    arc's head.  It stops at the first boundary arc past the hole, whose
-    reverse lies on the contour of the component above."""
+    A hole's top sides are its contour's eastward horizontal arcs (the
+    figure on their left is above them); the line starts at the highest,
+    the least x on ties, which is the top side of the hole's leftmost
+    highest cell.  It climbs the column in CSR order: a tail's E arc is its
+    last arc and its N arc the one before, so the next crossed arc is the E
+    arc of the N arc's head.  It stops at the first boundary arc past the
+    hole, whose reverse lies on the contour of the component above."""
     off, head, rev, axis, boundary = (
         graph.offsets, graph.head, graph.rev, graph.axis, graph.boundary
     )
     hole_of = {k: hole.id for hole in graph.holes for k in hole.contour}
     lines = []
     for hole in graph.holes:
-        top = max(c.y for c in hole.cells)
-        cx = min(c.x for c in hole.cells if c.y == top)
-        side = ((cx, top + 1), (cx + 1, top + 1))
-        k = next(k for k in hole.contour if axis[k] == side)
+        k = max(
+            (k for k in hole.contour if axis[k][0][1] == axis[k][1][1] and head[k] > head[rev[k]]),
+            key=lambda k: (axis[k][0][1], -axis[k][0][0]),
+        )
+        (cx, y0), _ = axis[k]
         crossed = [k]
-        for y in count(top + 2):
+        for y in count(y0 + 1):
             k = off[head[k - 1] + 1] - 1
             assert axis[k] == ((cx, y), (cx + 1, y)), "cut line left its column"
             crossed.append(k)

@@ -39,9 +39,7 @@ def available_flips(cg: ComponentGraph, weights: ArcWeights, hf: HeightFunction)
     list means minimal."""
     heights = component_heights(cg, hf)
     flips = []
-    for i in range(len(cg.components)):
-        if i == cg.infinity:
-            continue
+    for i in range(1, len(cg.components)):  # all but the infinite component, 0
         has_in, has_out = component_status(cg, heights, i)
         if not has_in:
             flips.append(Flip(i, UP))
@@ -74,7 +72,7 @@ def apply_flip(cg: ComponentGraph, weights: ArcWeights, hf: HeightFunction, flip
     i = flip.component
     if type(i) is not int or i not in range(len(cg.components)) or flip.direction not in (UP, DOWN):
         raise FlipNotAvailable(f"{flip}: no such component or direction")
-    if i == cg.infinity:
+    if i == 0:
         raise FlipNotAvailable("cannot flip the infinite component")
     heights = component_heights(cg, hf)
     if not try_flip_inplace(cg, heights, i, flip.direction):
@@ -95,7 +93,7 @@ def _monotone_path(cg, heights: list, target: list, direction):
     one flip never overshoots and the order of the sweep does not matter.
     """
     flips = []
-    pending = [i for i, (x, y) in enumerate(zip(heights, target)) if x != y and i != cg.infinity]
+    pending = [i for i, (x, y) in enumerate(zip(heights, target)) if x != y and i != 0]
     while pending:
         applied = len(flips)
         left = []

@@ -23,42 +23,38 @@ BLOCK = 8  # updates per digest, and the first window
 WINDOW_CAP = 2**28
 
 
-def component_order(cg: ComponentGraph):
-    """Fixed total order of the non-infinity components: index order, which
-    is representative order, as components are numbered by least vertex."""
-    return [i for i in range(len(cg.components)) if i != cg.infinity]
-
-
 def _lex_heights(graph: FigureGraph, weights: ArcWeights):
     """Yield (forced components, component heights, components moved since
     the last yield) for every tiling in lexicographic order; the heights
     are one list, updated in place.
 
-    The successor raises the last component in `component_order` that admits
-    an upward flip, then flips later components down until none can move.
-    The tilings that agree with it up to the raised component form a convex
-    sublattice whose covering relations are flips of the later components,
-    so this reaches that sublattice's minimum, the lexicographic successor.
+    Components are ordered by index, which is representative order; the
+    infinite component, 0, never moves.  The successor raises the last
+    component that admits an upward flip, then flips later components down
+    until none can move.  The tilings that agree with it up to the raised
+    component form a convex sublattice whose covering relations are flips
+    of the later components, so this reaches that sublattice's minimum, the
+    lexicographic successor.
     """
     try:
         hf, _ = minimal_height(graph, weights)
     except Untileable:
         return
     cg = forced_components(graph, weights, tiling_of_height(graph, weights, hf))
-    order = component_order(cg)
     heights = component_heights(cg, hf)
-    yield cg, heights, range(len(heights))
+    n = len(heights)
+    yield cg, heights, range(n)
     while True:
-        for pos in range(len(order) - 1, -1, -1):
-            if try_flip_inplace(cg, heights, order[pos], UP):
+        for i in range(n - 1, 0, -1):
+            if try_flip_inplace(cg, heights, i, UP):
                 break
         else:
             return
-        free = order[pos + 1 :]
-        moved, swept = [order[pos]], 0
+        free = range(i + 1, n)
+        moved, swept = [i], 0
         while swept != len(moved):  # sweep until a sweep flips nothing
             swept = len(moved)
-            moved += [i for i in free if try_flip_inplace(cg, heights, i, DOWN)]
+            moved += [j for j in free if try_flip_inplace(cg, heights, j, DOWN)]
         yield cg, heights, moved
 
 
@@ -93,15 +89,14 @@ def plan_update(seed: int, when: int, q: int):
 
 def _prepare_sampler(graph: FigureGraph, weights: ArcWeights):
     """What every sample of a figure shares: (min heights, forced components,
-    component order, component heights of the min and of the max); all but
-    the first are None when the figure has a single tiling.  Raises
-    Untileable."""
+    component heights of the min and of the max); all but the first are
+    None when the figure has a single tiling.  Raises Untileable."""
     hmin, _ = minimal_height(graph, weights)
     hmax, _ = maximal_height(graph, weights)
     if hmin.h == hmax.h:
-        return hmin, None, None, None, None
+        return hmin, None, None, None
     cg = forced_components(graph, weights, tiling_of_height(graph, weights, hmin))
-    return hmin, cg, component_order(cg), component_heights(cg, hmin), component_heights(cg, hmax)
+    return hmin, cg, component_heights(cg, hmin), component_heights(cg, hmax)
 
 
 def _draw_sample(graph: FigureGraph, weights: ArcWeights, prepared, seed: int):
@@ -115,11 +110,11 @@ def _draw_sample(graph: FigureGraph, weights: ArcWeights, prepared, seed: int):
     window long and replayed whole.  Raises TooLarge when the window would
     pass WINDOW_CAP time steps, after at most 2 * WINDOW_CAP - BLOCK updates.
     """
-    hmin, cg, order, bottom, top = prepared
+    hmin, cg, bottom, top = prepared
     if cg is None:
         return tiling_of_height(graph, weights, hmin)
-    q = len(order)
-    moves = {d: [(comp, d) for comp in order] for d in (UP, DOWN)}
+    q = len(bottom) - 1  # every component but the infinite one, 0
+    moves = {d: [(comp, d) for comp in range(1, q + 1)] for d in (UP, DOWN)}
     plans, window = [], BLOCK
     while window <= WINDOW_CAP:
         for when in range(len(plans) + 1, window, BLOCK):

@@ -5,10 +5,13 @@ Cells are unit squares addressed by their lower-left corner.  A figure is a
 finite 4-connected set of cells; the finite 8-connected components of its
 complement are its holes.  Lattice points where the figure pinches (two
 diagonally adjacent cells present, the other two absent) are split into two
-vertex copies so that every contour is an elementary cycle.  Each arc's
-spin (+1 with a white cell on its left) is derived here only, from the
-`_SPINS` table as `build_graph` makes the arc, and read off `graph.spin`
-everywhere else.
+vertex copies so that every contour is an elementary cycle.  Holes are
+found by their contours, not by their cells: the boundary arcs with the
+figure on their left form closed walks, one round the outside and one
+round each hole, and `build_graph` numbers the holes by the least tail of
+their walks.  Each arc's spin (+1 with a white cell on its left) is
+derived here only, from the `_SPINS` table as `build_graph` makes the
+arc, and read off `graph.spin` everywhere else.
 """
 
 from __future__ import annotations
@@ -31,11 +34,6 @@ class GridVertex(NamedTuple):
     x: int
     y: int
     copy: int = 0
-
-
-def is_black(cell) -> bool:
-    """Checkerboard coloring: cell (x, y) is black iff x + y is even."""
-    return (cell[0] + cell[1]) % 2 == 0
 
 
 @dataclass(frozen=True)
@@ -116,10 +114,13 @@ def parse_figure(text: str) -> Figure:
 
 @dataclass
 class Hole:
-    """Finite 8-connected component of the figure's complement."""
+    """Finite 8-connected component of the figure's complement, kept as
+    its contour.  Holes are numbered by the contours' least tails.  The
+    least tail of a hole's contour is the lower-left corner of its least
+    cell (the cell left of it is a figure cell, or it would be in the
+    hole), so ids are in the order of the holes' least cells."""
 
     id: int
-    cells: frozenset
     contour: tuple  # arc ids clockwise around the hole, from its least tail
 
 
@@ -172,46 +173,12 @@ _OWNER = {"NE/SW": (1, 1, 0, 0), "NW/SE": (0, 1, 0, 1)}
 _SPINS = ((-1, 1, 1, -1), (1, -1, -1, 1))
 
 
-def _complement_components(inside, rows):
-    """8-connected components of the complement in the padded box (see
-    `_padded_box`): a label per cell key (None for the infinite component, the
-    hole id for a hole cell, -1 for a figure cell) and each hole's keys.
-
-    The first flood starts at the pad corner; the pad ring is connected, so
-    that flood is the infinite component and every later one is a hole.
-    Column-major keys wrap from one column's top pad cell to the next one's
-    bottom pad cell, which joins pad cells only.
-    """
-    size = len(inside)
-    steps = (-rows - 1, -rows, -rows + 1, -1, 1, rows - 1, rows, rows + 1)
-    label = [-1] * size
-
-    def flood(start, value):
-        label[start] = value
-        comp = [start]
-        for k in comp:  # comp grows while it is walked
-            for s in steps:
-                n = k + s
-                if 0 <= n < size and label[n] == -1 and not inside[n]:
-                    label[n] = value
-                    comp.append(n)
-        return comp
-
-    flood(0, None)
-    holes = []
-    for k in range(size):
-        if label[k] == -1 and not inside[k]:
-            holes.append(flood(k, len(holes)))
-    return label, holes
-
-
 def build_graph(figure: Figure) -> FigureGraph:
     # Cells by their keys in the padded bounding box (see `_padded_box`),
     # x0 and y0 being the pad's corner; a lattice point has the key of the
     # cell on its upper right.
     inside, rows = _padded_box(figure)
     x0, y0 = figure.min_x - 1, figure.min_y - 1
-    label, hole_keys = _complement_components(inside, rows)
 
     # Vertex ids in (x, y, copy) order.  A point where exactly two
     # diagonally opposite cells are present is a pinch and has two copies.
@@ -245,7 +212,7 @@ def build_graph(figure: Figure) -> FigureGraph:
     moves = ((-rows, -rows - 1, -rows), (-1, -1, -rows - 1), (1, -rows, 0), (rows, 0, -1))
     offsets = [0]
     head, spin, boundary, rev, axis = [], [], [], array("i"), []
-    f_on_left = {}  # tail id -> (arc id, label across) on figure-on-the-left boundary arcs
+    f_on_left = {}  # tail id -> arc id, on the boundary arcs with the figure on their left
     for u, p in enumerate(keys):
         owner = _OWNER.get(pinch.get(p)) if pinch else None
         copy = u - first[p]
@@ -274,37 +241,28 @@ def build_graph(figure: Figure) -> FigureGraph:
                 axis.append((points[u], points[v]))
             if left and not right:
                 assert u not in f_on_left, "non-elementary contour at %s" % (vertices[u],)
-                f_on_left[u] = (k, label[p + ro])
+                f_on_left[u] = k
         offsets.append(len(head))
 
-    # Extract contour cycles as arc ids: one counterclockwise outer
-    # contour, one clockwise contour per hole (the complement sits on the
-    # walker's right), each from the arc leaving its least tail.
-    contours = {}
-    while f_on_left:
-        u, (k, comp) = f_on_left.popitem()
-        tails, arcs = [u], [k]
-        while head[k] != tails[0]:
-            u = head[k]
-            k, c = f_on_left.pop(u)
-            assert c == comp
-            tails.append(u)
-            arcs.append(k)
-        assert comp not in contours, "complement component with two contours"
-        i = tails.index(min(tails))
-        contours[comp] = tuple(arcs[i:] + arcs[:i])
-
-    def cell(key):
-        cx, cy = divmod(key, rows)
-        return Cell(x0 + cx, y0 + cy)
-
-    outer = contours[None]
+    # Extract the contours as closed walks of arc ids: one counterclockwise
+    # around the figure, one clockwise around each hole (the complement
+    # sits on the walker's right).  Each walk starts at the least tail not
+    # on an earlier one, so it starts at its own least tail, and the walks
+    # come in the order of their least tails: first the outer contour,
+    # which holds w0, then the holes.
+    contours = []
+    for u in list(f_on_left):  # tail ids in increasing order
+        k = f_on_left.pop(u, None)
+        if k is None:  # on an earlier walk
+            continue
+        walk = [k]
+        while head[k] != u:
+            k = f_on_left.pop(head[k])
+            walk.append(k)
+        contours.append(tuple(walk))
+    outer = contours[0]
     assert head[rev[outer[0]]] == 0, "least vertex off the outer contour"
-    holes = []
-    for hid, hkeys in enumerate(hole_keys):
-        # Walking with the figure on the left keeps the hole on the right,
-        # i.e. its contour is already clockwise around the hole.
-        holes.append(Hole(id=hid, cells=frozenset(map(cell, hkeys)), contour=contours[hid]))
+    holes = [Hole(id=i, contour=c) for i, c in enumerate(contours[1:])]
 
     return FigureGraph(
         figure=figure,

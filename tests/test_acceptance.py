@@ -140,7 +140,7 @@ def test_06_forced_component_rigidity():
         cg = forced_components(graph, weights, min_tiling(graph, weights))
         for i, v in enumerate(graph.vertices):
             rigid = len({h.h[v] for h in heights}) == 1
-            ok = ok and rigid == (cg.comp_of[i] == cg.infinity)
+            ok = ok and rigid == (cg.comp_of[i] == 0)
     # Non-enumerable member: rigidity via the min/max characterization.
     _, graph, _, weights = built("8x8-two-holes")
     hmin, _ = minimal_height(graph, weights)
@@ -148,7 +148,7 @@ def test_06_forced_component_rigidity():
     cg = forced_components(graph, weights, min_tiling(graph, weights))
     vs = graph.vertices
     for i, rep in enumerate(cg.representatives):
-        if i == cg.infinity:
+        if i == 0:
             ok = ok and all(
                 hmin.h[vs[v]] == hmax.h[vs[v]] for v in cg.components[i]
             )

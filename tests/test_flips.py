@@ -79,7 +79,7 @@ class TestAvailability:
         with pytest.raises(FlipNotAvailable):
             apply_flip(cg, weights, hmin, Flip(up.component, DOWN))
         with pytest.raises(FlipNotAvailable):
-            apply_flip(cg, weights, hmin, Flip(cg.infinity, UP))
+            apply_flip(cg, weights, hmin, Flip(0, UP))
 
     @pytest.mark.parametrize(
         "component, direction",

@@ -4,7 +4,7 @@ counts."""
 import pytest
 
 from tiler.errors import Empty, NotConnected, ParseError
-from tiler.grid import Cell, GridVertex, build_graph, is_black, parse_figure
+from tiler.grid import Cell, GridVertex, build_graph, parse_figure
 
 from .conftest import built
 from .theory import (
@@ -13,10 +13,13 @@ from .theory import (
     arc_id,
     cell_arcs,
     closed_walk,
+    contour_right_cells,
     cycle_spin,
     disequilibrium,
     grid_arcs,
+    hole_cells,
     hole_of,
+    is_black,
 )
 
 
@@ -73,30 +76,45 @@ class TestBuildGraph:
         _, graph, _, _ = built("3x3-ring")
         assert len(graph.holes) == 1
         hole = graph.holes[0]
-        assert hole.cells == {Cell(1, 1)}
+        assert hole_cells(graph)[hole.id] == {Cell(1, 1)}
         assert len(hole.contour) == 4
         assert hole_of(graph, Cell(1, 1)) == 0
         assert hole_of(graph, Cell(-1, 0)) is None
 
     def test_8x8_holes(self):
         _, graph, _, _ = built("8x8-two-holes")
-        assert {next(iter(h.cells)) for h in graph.holes} == {
+        cells = hole_cells(graph)
+        assert {next(iter(cells[h.id])) for h in graph.holes} == {
             Cell(2, 2),
             Cell(4, 5),
         }
 
     def test_hole_numbering(self):
         # Holes are numbered in column-major order of their cells, the key
-        # of the step values that `tiler eq` prints.
+        # of the step values that `tiler eq` prints; each single-cell hole's
+        # contour runs round its cell.
         graph = build_graph(parse_figure("######\n#.##.#\n######\n##.###\n######"))
-        assert [sorted(h.cells) for h in graph.holes] == [
+        cells = hole_cells(graph)
+        assert [contour_right_cells(graph, h.contour) for h in graph.holes] == [
+            cells[h.id] for h in graph.holes
+        ]
+        assert [sorted(cells[h.id]) for h in graph.holes] == [
             [Cell(1, 3)],
             [Cell(2, 1)],
             [Cell(4, 3)],
         ]
         assert [h.id for h in graph.holes] == [0, 1, 2]
         for hole in graph.holes:
-            assert all(hole_of(graph, c) == hole.id for c in hole.cells)
+            assert all(hole_of(graph, c) == hole.id for c in cells[hole.id])
+
+    def test_holes_match_flood(self, corpus_name):
+        # One hole per finite complement component, numbered as the flood
+        # numbers them: each contour has that component on its right.
+        _, graph, _, _ = built(corpus_name)
+        cells = hole_cells(graph)
+        assert len(graph.holes) == len(cells)
+        for hole in graph.holes:
+            assert contour_right_cells(graph, hole.contour) <= cells[hole.id]
 
     def test_hole_contour_is_clockwise(self, corpus_name):
         # Shoelace area is negative for a clockwise walk.

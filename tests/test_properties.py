@@ -45,7 +45,15 @@ from .stepwise import (
     tarjan_components,
 )
 from .test_equilibrium import assert_t_matches_eq
-from .theory import grid_arcs, hole_of, left_cell, right_cell, spin_of_move
+from .theory import (
+    contour_right_cells,
+    grid_arcs,
+    hole_cells,
+    hole_of,
+    left_cell,
+    right_cell,
+    spin_of_move,
+)
 
 
 @st.composite
@@ -150,9 +158,10 @@ def test_cut_lines_climb_their_column(figure):
     cells, vs, head, rev = graph.figure.cells, graph.vertices, graph.head, graph.rev
     lines = build_cut_lines(graph)
     assert [cl.hole_id for cl in lines] == [hole.id for hole in graph.holes]
+    holes = hole_cells(graph)
     for hole, cl in zip(graph.holes, lines):
-        top = max(c.y for c in hole.cells)
-        cx = min(c.x for c in hole.cells if c.y == top)
+        top = max(c.y for c in holes[hole.id])
+        cx = min(c.x for c in holes[hole.id] if c.y == top)
         end = top + 1
         while Cell(cx, end) in cells:
             end += 1
@@ -174,6 +183,7 @@ def test_contours_are_closed_arc_chains(figure):
     graph = build_graph(make_figure(framed(figure)))
     cells, vs, head, rev = graph.figure.cells, graph.vertices, graph.head, graph.rev
     contours = [(None, graph.outer)] + [(h.id, h.contour) for h in graph.holes]
+    hole_id_of = {c: i for i, cells in enumerate(hole_cells(graph)) for c in cells}
     for hole_id, contour in contours:
         tails = [head[rev[k]] for k in contour]
         assert [head[k] for k in contour] == tails[1:] + tails[:1]
@@ -181,7 +191,7 @@ def test_contours_are_closed_arc_chains(figure):
         for k in contour:
             u, v = vs[head[rev[k]]], vs[head[k]]
             right = right_cell((u.x, u.y), (v.x - u.x, v.y - u.y))
-            assert hole_of(graph, right) == hole_id
+            assert hole_id_of.get(right) == hole_id
     assert head[rev[graph.outer[0]]] == 0
     on_contours = Counter(k for _, contour in contours for k in contour)
     left_boundary = [
@@ -190,6 +200,46 @@ def test_contours_are_closed_arc_chains(figure):
         if graph.boundary[k] and left_cell((u.x, u.y), (v.x - u.x, v.y - u.y)) in cells
     ]
     assert on_contours == Counter(left_boundary)
+
+
+@st.composite
+def pinched_frames(draw):
+    """A ring of cells round a box of 2x2 to 7x7 random cells, one 2x2 block
+    of which is a pinch: two diagonal cells present, the other two absent.
+    The figure is the ring and the cells 4-connected to it, so nothing is
+    filtered out; most draws keep the pinch, and many holes pinch."""
+    w, h = draw(st.integers(2, 7)), draw(st.integers(2, 7))
+    bits = draw(st.lists(st.integers(0, 3), min_size=w * h, max_size=w * h))
+    x, y = draw(st.integers(0, w - 2)), draw(st.integers(0, h - 2))
+    present, absent = {Cell(x, y), Cell(x + 1, y + 1)}, {Cell(x + 1, y), Cell(x, y + 1)}
+    if draw(st.booleans()):
+        present, absent = absent, present
+    box = {Cell(i, j) for i in range(w) for j in range(h)}
+    ring = {Cell(i, j) for i in range(-1, w + 1) for j in range(-1, h + 1)} - box
+    cells = ({c for c in box if bits[c.y * w + c.x]} - absent) | present | ring
+    reached = [Cell(-1, -1)]
+    cells.remove(reached[0])
+    for c in reached:  # reached grows while it is walked
+        for nb in (Cell(c.x - 1, c.y), Cell(c.x + 1, c.y), Cell(c.x, c.y - 1), Cell(c.x, c.y + 1)):
+            if nb in cells:
+                cells.remove(nb)
+                reached.append(nb)
+    return make_figure(reached)
+
+
+@settings(max_examples=100, deadline=None)
+@given(pinched_frames())
+def test_holes_are_the_finite_complement_components(figure):
+    """On framed masks with pinches, the holes that `build_graph` finds by
+    its contour walk against an 8-connected flood of the complement: one
+    hole per finite component, numbered as the flood numbers them by least
+    cell, each contour with its own component on its right."""
+    graph = build_graph(figure)
+    assume(any(v.copy for v in graph.vertices))
+    holes = hole_cells(graph)
+    assert len(graph.holes) == len(holes)
+    for hole in graph.holes:
+        assert contour_right_cells(graph, hole.contour) <= holes[hole.id]
 
 
 @st.composite

@@ -2,11 +2,12 @@
 propositions built on them: the tiling graph G_T, critical and strongly
 critical cycles, the acyclic orientation of the quotient graph, spin and
 disequilibrium from the cell colours, and the generalized flip graph with
-its BFS distances.  They work on the arcs (u, v) of GridVertex that
-`grid_arcs` lists, and on cycles as closed GridVertex walks, which
-`closed_walk` makes of the graph's arc-id cycles; `tests/stepwise.py`
-builds its references on them.  `arc_id`, `cell_arcs` and `hole_of` find
-arcs and holes by their geometry, which the package itself never needs.
+its BFS distances, and the holes' cells by a flood of the complement.
+They work on the arcs (u, v) of GridVertex that `grid_arcs` lists, and on
+cycles as closed GridVertex walks, which `closed_walk` makes of the
+graph's arc-id cycles; `tests/stepwise.py` builds its references on them.  `arc_id`, `cell_arcs`, `hole_cells` and
+`hole_of` find arcs and holes by their geometry, which the package itself
+never needs: it knows a hole only by its contour.
 """
 
 import itertools
@@ -16,11 +17,16 @@ from graphlib import CycleError, TopologicalSorter
 from tiler.components import component_heights
 from tiler.errors import TilerError
 from tiler.flips import apply_flip, available_flips
-from tiler.grid import Cell, is_black
+from tiler.grid import Cell
 from tiler.tiling import g_of_tiling
 
 N, S, E, W = (0, 1), (0, -1), (1, 0), (-1, 0)
 DIRECTIONS = (N, S, E, W)
+
+
+def is_black(cell) -> bool:
+    """Checkerboard coloring: cell (x, y) is black iff x + y is even."""
+    return (cell[0] + cell[1]) % 2 == 0
 
 
 class NotACycle(TilerError):
@@ -63,10 +69,45 @@ def cell_arcs(graph, cell) -> list:
     return arcs
 
 
+def hole_cells(graph) -> list:
+    """The cells of each hole, as frozensets of Cell: the finite 8-connected
+    components of the figure's complement in its bounding box padded by one
+    cell, numbered by least cell.  A flood over the cells alone, blind to the
+    contours by which `build_graph` numbers the holes."""
+    fig = graph.figure
+    xs = range(fig.min_x - 1, fig.min_x + fig.width + 1)
+    ys = range(fig.min_y - 1, fig.min_y + fig.height + 1)
+    free = {Cell(x, y) for x in xs for y in ys} - fig.cells
+    comps = []
+    for start in sorted(free):  # each flood starts at its least cell
+        if start not in free:
+            continue
+        free.remove(start)
+        comp = [start]
+        for x, y in comp:  # comp grows while it is walked
+            for nb in itertools.product((x - 1, x, x + 1), (y - 1, y, y + 1)):
+                if nb in free:
+                    free.remove(nb)
+                    comp.append(Cell(*nb))
+        comps.append(frozenset(comp))
+    # The pad ring is connected, and its corner is the least cell: the
+    # first flood is the infinite component.
+    return comps[1:]
+
+
 def hole_of(graph, cell):
-    """Id of the hole whose cells hold the cell, or None (the infinite
-    component, or a figure cell)."""
-    return next((hole.id for hole in graph.holes if cell in hole.cells), None)
+    """Id of the hole whose cells (see `hole_cells`) hold the cell, or None
+    (the infinite component, or a figure cell)."""
+    return next((i for i, cells in enumerate(hole_cells(graph)) if cell in cells), None)
+
+
+def contour_right_cells(graph, contour) -> set:
+    """The cells on the right of a contour's arcs, outside the figure."""
+    vs, head, rev = graph.vertices, graph.head, graph.rev
+    return {
+        right_cell((u.x, u.y), (v.x - u.x, v.y - u.y))
+        for u, v in ((vs[head[rev[k]]], vs[head[k]]) for k in contour)
+    }
 
 
 def closed_walk(graph, arcs) -> list:
