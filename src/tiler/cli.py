@@ -15,8 +15,8 @@ from .components import forced_components, quotient_edges
 from .equilibrium import eq_values, verify_equilibrium
 from .errors import ParseError, TilerError, Untileable
 from .flips import flip_distance, flip_path, local_flip_connected, local_flip_count
-from .generation import _draw_sample, _prepare_sampler, count_tilings, enumerate_tilings
-from .lattice import max_tiling, min_tiling, minimal_height
+from .generation import _draw_sample, count_tilings, enumerate_tilings
+from .lattice import max_tiling, min_tiling, minimal_height, prepare
 from .oracle import brute_enumerate
 from .render import JSON_FORMAT, dominoes_from_json, render_tiling, tiling_to_json
 from .tiling import height_of_tiling, validate_tiling
@@ -98,7 +98,7 @@ def _cmd_enum(args, figure, graph, steps, weights):
 
 
 def _cmd_sample(args, figure, graph, steps, weights):
-    prepared = _prepare_sampler(graph, weights)
+    prepared = prepare(graph, weights)
     samples = [
         (seed, _draw_sample(graph, weights, prepared, seed))
         for seed in range(args.seed, args.seed + args.n)
@@ -121,7 +121,7 @@ def _cmd_dist(args, figure, graph, steps, weights):
     for path in (args.t1, args.t2):
         try:
             data = json.loads(_read(path))
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ParseError(f"{path} is not JSON: {exc}") from exc
         dominoes = dominoes_from_json(data)
         tilings.append(validate_tiling(graph, dominoes))
@@ -153,7 +153,7 @@ def _cmd_dist(args, figure, graph, steps, weights):
 
 
 def _cmd_components(args, figure, graph, steps, weights):
-    cg = forced_components(graph, weights, min_tiling(graph, weights))
+    cg, _, _ = prepare(graph, weights)
     reps = [graph.vertices[r] for r in cg.representatives]
     rows = list(zip(cg.kinds, map(len, cg.components), reps))
     if args.json:

@@ -9,12 +9,12 @@ import struct
 # OpenSSL (_hashlib), several MB of resident memory that is never used.
 from _blake2 import blake2b
 
-from .components import ComponentGraph, component_heights, forced_components, height_function
+from .components import height_function
 from .equilibrium import ArcWeights
 from .errors import TooLarge, Untileable
 from .flips import DOWN, UP, try_flip_inplace
 from .grid import FigureGraph
-from .lattice import maximal_height, minimal_height
+from .lattice import prepare
 from .tiling import HeightFunction, tiling_of_height
 
 BLOCK = 8  # updates per digest, and the first window
@@ -37,11 +37,9 @@ def _lex_heights(graph: FigureGraph, weights: ArcWeights):
     lexicographic successor.
     """
     try:
-        hf, _ = minimal_height(graph, weights)
+        cg, heights, _ = prepare(graph, weights)
     except Untileable:
         return
-    cg = forced_components(graph, weights, tiling_of_height(graph, weights, hf))
-    heights = component_heights(cg, hf)
     n = len(heights)
     yield cg, heights, range(n)
     while True:
@@ -61,8 +59,8 @@ def _lex_heights(graph: FigureGraph, weights: ArcWeights):
 def enumerate_tilings(graph: FigureGraph, weights: ArcWeights):
     """Yield every tiling, starting at the minimum, in lexicographic order.
 
-    One minimal-height relaxation per figure; each successor is reached by
-    flips (see `_lex_heights`) and decoded from one height dict that moves update.
+    One `prepare` per figure; each successor is reached by flips (see
+    `_lex_heights`) and decoded from one height dict that moves update.
     """
     vs, h = graph.vertices, {}
     for cg, heights, moved in _lex_heights(graph, weights):
@@ -87,20 +85,8 @@ def plan_update(seed: int, when: int, q: int):
     return [((u >> 1) % q, UP if u & 1 else DOWN) for u in words]
 
 
-def _prepare_sampler(graph: FigureGraph, weights: ArcWeights):
-    """What every sample of a figure shares: (min heights, forced components,
-    component heights of the min and of the max); all but the first are
-    None when the figure has a single tiling.  Raises Untileable."""
-    hmin, _ = minimal_height(graph, weights)
-    hmax, _ = maximal_height(graph, weights)
-    if hmin.h == hmax.h:
-        return hmin, None, None, None
-    cg = forced_components(graph, weights, tiling_of_height(graph, weights, hmin))
-    return hmin, cg, component_heights(cg, hmin), component_heights(cg, hmax)
-
-
 def _draw_sample(graph: FigureGraph, weights: ArcWeights, prepared, seed: int):
-    """The CFTP sample of one seed from `_prepare_sampler`'s result.
+    """The CFTP sample of one seed from `prepare`'s result.
 
     The chains are component heights.  After each update the lower chain
     must stay below the upper one; only the updated component moved, so
@@ -110,13 +96,13 @@ def _draw_sample(graph: FigureGraph, weights: ArcWeights, prepared, seed: int):
     window long and replayed whole.  Raises TooLarge when the window would
     pass WINDOW_CAP time steps, after at most 2 * WINDOW_CAP - BLOCK updates.
     """
-    hmin, cg, bottom, top = prepared
-    if cg is None:
-        return tiling_of_height(graph, weights, hmin)
+    cg, bottom, top = prepared
     q = len(bottom) - 1  # every component but the infinite one, 0
     moves = {d: [(comp, d) for comp in range(1, q + 1)] for d in (UP, DOWN)}
-    plans, window = [], BLOCK
-    while window <= WINDOW_CAP:
+    plans, window, lo, hi = [], BLOCK, bottom, top
+    while lo != hi:  # a figure with one tiling has bottom == top
+        if window > WINDOW_CAP:
+            raise TooLarge(f"coupling from the past did not coalesce in a window of {WINDOW_CAP} steps")
         for when in range(len(plans) + 1, window, BLOCK):
             plans += [moves[direction][pos] for pos, direction in plan_update(seed, when, q)]
         lo, hi = bottom[:], top[:]
@@ -125,10 +111,8 @@ def _draw_sample(graph: FigureGraph, weights: ArcWeights, prepared, seed: int):
             try_flip_inplace(cg, hi, comp, direction)
             if lo[comp] > hi[comp]:
                 raise AssertionError("CFTP sandwich property violated")
-        if lo == hi:
-            return tiling_of_height(graph, weights, height_function(graph, cg, lo))
         window *= 2
-    raise TooLarge(f"coupling from the past did not coalesce in a window of {WINDOW_CAP} steps")
+    return tiling_of_height(graph, weights, height_function(graph, cg, lo))
 
 
 def sample_uniform(graph: FigureGraph, weights: ArcWeights, seed: int):
@@ -136,4 +120,4 @@ def sample_uniform(graph: FigureGraph, weights: ArcWeights, seed: int):
     maximum over doubling update windows.  `tiler sample -n K` prepares
     once and draws K times; each draw returns what this call returns.
     """
-    return _draw_sample(graph, weights, _prepare_sampler(graph, weights), seed)
+    return _draw_sample(graph, weights, prepare(graph, weights), seed)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import enum
 from collections import deque
 
+from .components import component_heights, forced_components
 from .equilibrium import ArcWeights
 from .errors import DifferentFigures, Untileable
 from .grid import FigureGraph
@@ -160,6 +161,16 @@ def maximal_height(graph: FigureGraph, weights: ArcWeights):
     """Maximal height function and its pass count, the displacement from
     the start values in 4-steps; raises Untileable."""
     return _extremal_height(graph, weights, -1)
+
+
+def prepare(graph: FigureGraph, weights: ArcWeights):
+    """(forced components, H of the minimum, H of the maximum): where every
+    walk of the lattice starts.  The components come from the minimal
+    tiling; they are the same for every tiling.  Raises Untileable."""
+    hmin, _ = minimal_height(graph, weights)
+    hmax, _ = maximal_height(graph, weights)
+    cg = forced_components(graph, weights, tiling_of_height(graph, weights, hmin))
+    return cg, component_heights(cg, hmin), component_heights(cg, hmax)
 
 
 def min_tiling(graph: FigureGraph, weights: ArcWeights) -> Tiling:

@@ -1,5 +1,7 @@
 """Shared corpus of figures and cached per-figure pipelines."""
 
+import sys
+
 import pytest
 
 from tiler import pipeline
@@ -47,6 +49,21 @@ COUNTS = {
 }
 
 _cache = {}
+
+
+def record_calls(monkeypatch, fn):
+    """The list of graphs `fn` is called with from now on, through every
+    `tiler` module that holds it."""
+    calls = []
+
+    def recording(graph, *args):
+        calls.append(graph)
+        return fn(graph, *args)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "tiler" and getattr(module, fn.__name__, None) is fn:
+            monkeypatch.setattr(module, fn.__name__, recording)
+    return calls
 
 
 def built(name):

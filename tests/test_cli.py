@@ -13,14 +13,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tiler
-from tiler import generation
+from tiler import lattice
 from tiler.cli import main
 from tiler.components import forced_components
 from tiler.generation import sample_uniform
-from tiler.lattice import min_tiling, minimal_height
+from tiler.lattice import min_tiling
 from tiler.render import render_tiling, tiling_to_json
 
-from .conftest import CORPUS, COUNTS
+from .conftest import CORPUS, COUNTS, record_calls
 from .theory import grid_arcs
 
 
@@ -109,13 +109,7 @@ class TestSample:
     def test_prepares_once(self, capsys, fig_file, monkeypatch, as_json):
         # One min, max and components per figure; the same tilings as five
         # separate sample_uniform calls.
-        calls = []
-
-        def recording(graph, weights):
-            calls.append(graph)
-            return minimal_height(graph, weights)
-
-        monkeypatch.setattr(generation, "minimal_height", recording)
+        calls = record_calls(monkeypatch, lattice.minimal_height)
         flag = ["--json"] if as_json else []
         code, out, _ = run(capsys, "sample", fig_file("4x4"), "--seed", "3", "-n", "5", *flag)
         assert code == 0
@@ -133,6 +127,19 @@ class TestSample:
         with pytest.raises(SystemExit) as exc:
             main(["sample", fig_file("2x2")])
         assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "verb, extra",
+    [("enum", []), ("count", []), ("sample", ["--seed", "3", "-n", "5"]), ("components", [])],
+)
+def test_one_setup_per_figure(capsys, fig_file, monkeypatch, verb, extra):
+    # Each verb that walks the lattice reads one `prepare`: one minimal
+    # height and one set of forced components per figure.
+    relaxations = record_calls(monkeypatch, lattice.minimal_height)
+    components = record_calls(monkeypatch, lattice.forced_components)
+    assert run(capsys, verb, fig_file("4x4"), *extra)[0] == 0
+    assert (len(relaxations), len(components)) == (1, 1)
 
 
 class TestDist:
@@ -262,6 +269,20 @@ class TestBadInput:
         code, _, err = run(capsys, "dist", str(fig), str(t), str(ok))
         assert code == 2
         assert "error:" in err
+
+    def test_deeply_nested_json(self, capsys, tmp_path):
+        # json.loads runs out of stack on 100000 nested arrays: the tiling
+        # file is at fault, not a chain of holes.
+        fig = tmp_path / "fig.txt"
+        fig.write_bytes(b"##\n##\n")
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100000 + "]" * 100000)
+        ok = tmp_path / "ok.json"
+        ok.write_bytes(TILING_2X2)
+        code, out, err = run(capsys, "dist", str(fig), str(deep), str(ok))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {deep} is not JSON") and err.count("\n") == 1
+        assert "hole" not in err
 
     @pytest.mark.parametrize(
         "verb, extra",

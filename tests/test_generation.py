@@ -15,7 +15,7 @@ import sys
 import pytest
 
 import tiler
-from tiler import generation
+from tiler import generation, lattice
 from tiler.components import forced_components
 from tiler.cli import main
 from tiler.errors import TooLarge, Untileable
@@ -30,7 +30,7 @@ from tiler.lattice import max_tiling, min_tiling, minimal_height
 from tiler.oracle import brute_enumerate
 from tiler.tiling import height_of_tiling
 
-from .conftest import CORPUS, COUNTS, built
+from .conftest import CORPUS, COUNTS, built, record_calls
 from .stepwise import assert_samples_match_reference, assert_successors_match_stepwise
 
 
@@ -77,16 +77,12 @@ class TestEnumerate:
         assert_successors_match_stepwise(graph, weights)
 
     def test_one_relaxation_per_figure(self, enumerable_name, monkeypatch):
-        calls = []
-
-        def recording(graph, weights):
-            calls.append(graph)
-            return minimal_height(graph, weights)
-
-        monkeypatch.setattr(generation, "minimal_height", recording)
+        calls = record_calls(monkeypatch, lattice.minimal_height)
+        components = record_calls(monkeypatch, lattice.forced_components)
         _, graph, _, weights = built(enumerable_name)
         assert sum(1 for _ in enumerate_tilings(graph, weights)) == COUNTS[enumerable_name]
         assert calls == [graph]
+        assert components == ([graph] if COUNTS[enumerable_name] else [])
 
 
 class TestPlanUpdate:

@@ -19,6 +19,8 @@ from tiler import (
     sample_uniform,
     tiling_of_height,
 )
+from tiler.generation import _draw_sample
+from tiler.lattice import prepare
 from tiler.oracle import brute_enumerate
 
 from .conftest import CORPUS, COUNTS, built
@@ -58,6 +60,7 @@ def test_verbs():
     cg = forced_components(graph, weights, tiling_of_height(graph, weights, lo))
     assert_no_cyclic_garbage(lambda: list(itertools.islice(enumerate_tilings(graph, weights), 50)))
     assert_no_cyclic_garbage(lambda: sample_uniform(graph, weights, 0))
+    assert_no_cyclic_garbage(lambda: _draw_sample(graph, weights, prepare(graph, weights), 0))
     assert_no_cyclic_garbage(lambda: flip_path(cg, weights, lo, hi))
 
 
